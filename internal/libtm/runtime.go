@@ -106,7 +106,7 @@ func (rt *Runtime) ResilienceStats() (budgetExceeded, canceled uint64) {
 // thread, retrying on conflicts. A non-nil error from fn aborts the attempt
 // and is returned without retry. Atomic must not be nested.
 func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(nil, thread, txn, fn, 0, nil)
+	return rt.run(nil, thread, txn, fn, 0)
 }
 
 // AtomicCtx is Atomic honoring ctx: cancellation/deadline is checked
@@ -115,7 +115,7 @@ func (rt *Runtime) Atomic(thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) err
 // retry.ErrBudgetExceeded when spent. Either way every write lock and
 // reader registration has been released.
 func (rt *Runtime) AtomicCtx(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error) error {
-	return rt.run(ctx, thread, txn, fn, 0, nil)
+	return rt.run(ctx, thread, txn, fn, 0)
 }
 
 // Run mirrors tl2.Runtime.Run for this engine: ctx may be nil, and
@@ -123,17 +123,10 @@ func (rt *Runtime) AtomicCtx(ctx context.Context, thread txid.ThreadID, txn txid
 // any retry.WithBudget budget; <= 0 defers to it). LibTM has no read-only
 // fast path, so there is no readOnly parameter.
 func (rt *Runtime) Run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, maxAttempts int) error {
-	return rt.run(ctx, thread, txn, fn, maxAttempts, nil)
+	return rt.run(ctx, thread, txn, fn, maxAttempts)
 }
 
-// RunSpan is Run with a variance-observatory span attached: gate waits and
-// per-attempt retries (with their abort causes) are recorded into span's
-// timeline. span may be nil, in which case RunSpan is exactly Run.
-func (rt *Runtime) RunSpan(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, maxAttempts int, span *obs.Span) error {
-	return rt.run(ctx, thread, txn, fn, maxAttempts, span)
-}
-
-func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, maxAttempts int, span *obs.Span) error {
+func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, maxAttempts int) error {
 	self := txid.Pair{Txn: txn, Thread: thread}
 	tx := rt.pool.Get().(*Tx)
 	defer func() {
@@ -162,30 +155,14 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 			}
 		}
 		if gb := rt.gate.Load(); gb != nil {
-			if span != nil {
-				g0 := time.Now()
-				outcome := gb.g.Arrive(self)
-				gc := obs.CauseNone
-				if outcome == telemetry.GateEscape {
-					gc = obs.CauseGateTimeout
-				}
-				span.AddSince(obs.PhaseGate, gc, attempt+1, g0)
-			} else {
-				gb.g.Arrive(self)
-			}
+			gb.g.Arrive(self)
 		}
 		sampled := rt.tel.TxStart(shard)
 		tx.reset(rt, self, attempt)
-		span.NoteAttempt()
-		// Attempt start = end of the last recorded event (gate, queue, or
-		// the previous retry): a field read instead of a clock read, so the
-		// committing fast path pays no time.Now for abort attribution.
-		attStart := span.LastEndNs()
 
 		err, c := runBody(tx, fn)
 		if c != nil {
 			tx.cleanup()
-			span.AddSinceNs(obs.PhaseRetry, c.cause, attempt+1, attStart)
 			rt.noteAbort(self, c)
 			if rt.budgetSpent(shard, budget, attempt) {
 				return retry.ErrBudgetExceeded
@@ -199,7 +176,6 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 		}
 		if fi := rt.injector(); fi != nil && fi.SpuriousAbort(self, attempt) {
 			tx.cleanup()
-			span.AddSinceNs(obs.PhaseRetry, obs.CauseSpurious, attempt+1, attStart)
 			rt.noteAbort(self, &conflict{cause: obs.CauseSpurious})
 			if rt.budgetSpent(shard, budget, attempt) {
 				return retry.ErrBudgetExceeded
@@ -214,7 +190,6 @@ func (rt *Runtime) run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 		wv, c, ok := tx.commit()
 		if !ok {
 			tx.cleanup()
-			span.AddSinceNs(obs.PhaseRetry, c.cause, attempt+1, attStart)
 			rt.noteAbort(self, c)
 			if rt.budgetSpent(shard, budget, attempt) {
 				return retry.ErrBudgetExceeded

@@ -5,61 +5,75 @@ import (
 	"sync/atomic"
 )
 
-// Per-shard, per-phase latency aggregation. Every finished span feeds it —
-// sampling only affects which whole spans are *retained*, never the
-// aggregate — so the loadgen tail-attribution table is exact regardless of
-// ring sizes. The bucket layout is identical to internal/telemetry's
-// histograms (subCount sub-buckets per octave, ≤25% relative width, last
-// bucket open at ~60s) so the two surfaces report comparable quantiles.
+// Log-bucketed latency layout shared by every histogram in the process —
+// these per-phase aggregates and internal/telemetry's Histogram — so the
+// two surfaces report comparable quantiles and any two histograms merge
+// by adding bucket counts (no rebinning, no allocation on the record
+// path). Values are nanoseconds; bucket width grows geometrically with
+// subCount sub-buckets per power of two, for ≤25% relative width.
 const (
-	aggSubBits  = 2
-	aggSubCount = 1 << aggSubBits
-	aggBuckets  = 140
+	subBits  = 2
+	subCount = 1 << subBits // sub-buckets per octave
+
+	// NumBuckets caps the representable range: the last bucket starts at
+	// 7<<33 ns ≈ 60s and absorbs everything longer. STM commit latencies
+	// are ns–ms; 60s headroom covers even pathological gate holds.
+	NumBuckets = 140
 )
 
-// aggBucketOf maps a nanosecond value to its bucket index (see
-// telemetry.bucketOf — the layouts must stay in lockstep).
-func aggBucketOf(v uint64) int {
-	if v < aggSubCount {
+// BucketOf maps a non-negative nanosecond value to its bucket index.
+// Values 0..3 get exact buckets; beyond that, bucket i covers
+// [BucketLow(i), BucketLow(i+1)) with
+// BucketLow(i) = (subCount + i%subCount) << (i/subCount - 1).
+func BucketOf(v uint64) int {
+	if v < subCount {
 		return int(v)
 	}
-	exp := bits.Len64(v) - aggSubBits - 1
-	idx := exp*aggSubCount + int(v>>uint(exp))
-	if idx >= aggBuckets {
-		return aggBuckets - 1
+	exp := bits.Len64(v) - subBits - 1
+	idx := exp*subCount + int(v>>uint(exp)) // v>>exp ∈ [subCount, 2*subCount)
+	if idx >= NumBuckets {
+		return NumBuckets - 1
 	}
 	return idx
 }
 
-// aggBucketLow returns bucket i's inclusive lower bound (ns).
-func aggBucketLow(i int) uint64 {
-	if i < aggSubCount {
+// BucketLow returns the inclusive lower bound (ns) of bucket i.
+func BucketLow(i int) uint64 {
+	if i < subCount {
 		return uint64(i)
 	}
-	exp := i/aggSubCount - 1
-	mant := uint64(aggSubCount + i%aggSubCount)
+	exp := i/subCount - 1
+	mant := uint64(subCount + i%subCount)
 	return mant << uint(exp)
 }
 
-// aggBucketHigh returns bucket i's exclusive upper bound (ns).
-func aggBucketHigh(i int) uint64 {
-	if i >= aggBuckets-1 {
-		return 2 * aggBucketLow(aggBuckets-1)
+// BucketHigh returns the exclusive upper bound (ns) of bucket i, which is
+// the next bucket's lower bound. The last bucket is open-ended; doubling
+// its lower bound keeps quantile estimates finite while still mapping back
+// into the last bucket when snapshots are re-binned for merging.
+func BucketHigh(i int) uint64 {
+	if i >= NumBuckets-1 {
+		return 2 * BucketLow(NumBuckets-1)
 	}
-	return aggBucketLow(i + 1)
+	return BucketLow(i + 1)
 }
+
+// Per-shard, per-phase latency aggregation. Every finished span feeds it —
+// sampling only affects which whole spans are *retained*, never the
+// aggregate — so the loadgen tail-attribution table is exact regardless of
+// ring sizes.
 
 // phaseHist is one (shard, phase) latency distribution. Writers are the
 // worker/acker goroutines; contention is negligible next to the request
 // work, so it is unsharded.
 type phaseHist struct {
-	counts [aggBuckets]atomic.Uint64
+	counts [NumBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64
 }
 
 func (h *phaseHist) observe(ns uint64) {
-	h.counts[aggBucketOf(ns)].Add(1)
+	h.counts[BucketOf(ns)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(ns)
 }
@@ -85,10 +99,10 @@ func (a *shardAgg) observeSpan(sp *Span) {
 }
 
 // HistCounts is a raw bucket dump of one (shard, phase) distribution.
-// Bucket i covers [Low(i), High(i)) per the shared layout; only non-zero
-// buckets are emitted. Raw counts (not quantiles) let a scraper diff two
-// snapshots and compute run-local quantiles — that is how gstm-loadgen
-// builds its tail-attribution table.
+// Bucket i covers [BucketLow(i), BucketHigh(i)) per the shared layout;
+// only non-zero buckets are emitted. Raw counts (not quantiles) let a
+// scraper diff two snapshots and compute run-local quantiles — that is
+// how gstm-loadgen builds its tail-attribution table.
 type HistCounts struct {
 	Count   uint64   `json:"count"`
 	SumNs   uint64   `json:"sum_ns"`
@@ -144,7 +158,7 @@ func (h HistCounts) Quantile(q float64) uint64 {
 		cum += h.Buckets[i+1]
 		if cum >= target {
 			b := int(h.Buckets[i])
-			return (aggBucketLow(b) + aggBucketHigh(b)) / 2
+			return (BucketLow(b) + BucketHigh(b)) / 2
 		}
 	}
 	return 0

@@ -210,9 +210,9 @@ func TestAggQuantilesAndDiff(t *testing.T) {
 func TestAggBucketLayoutMatchesTelemetry(t *testing.T) {
 	// The layout contract: bucketLow(bucketOf(v)) <= v < bucketHigh(bucketOf(v)).
 	for _, v := range []uint64{0, 1, 3, 4, 5, 100, 1023, 1024, 1 << 20, 1 << 40} {
-		b := aggBucketOf(v)
-		if aggBucketLow(b) > v || (b < aggBuckets-1 && v >= aggBucketHigh(b)) {
-			t.Fatalf("v=%d bucket=%d low=%d high=%d", v, b, aggBucketLow(b), aggBucketHigh(b))
+		b := BucketOf(v)
+		if BucketLow(b) > v || (b < NumBuckets-1 && v >= BucketHigh(b)) {
+			t.Fatalf("v=%d bucket=%d low=%d high=%d", v, b, BucketLow(b), BucketHigh(b))
 		}
 	}
 }

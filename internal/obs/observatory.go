@@ -63,8 +63,8 @@ func (c Config) normalize() Config {
 // slots out under it), so the lock is all but uncontended on the record
 // path — but two rings are genuinely shared: the forced ring (any worker
 // with a trace-bit span) and the watch thread's ring (every parked watch
-// goroutine collects under ThreadID Workers+1). The tick is therefore an
-// atomic add, and slot writes are already serialized by mu.
+// goroutine collects under the server's one watch thread). The tick is
+// therefore an atomic add, and slot writes are already serialized by mu.
 type ring struct {
 	mu    sync.Mutex
 	tick  atomic.Uint64 // sample countdown; atomic for the shared rings

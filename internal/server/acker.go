@@ -42,12 +42,12 @@ type ackWait struct {
 // it.
 const shardAll int32 = -1
 
-// ackItem is one durable batch in flight between its worker (or the txn
-// coordinator) and the acker. tasks/results are copies (the producer
-// reuses its own slices); shardOf[i] is task i's home shard — or shardAll
-// for a cross-shard transaction — for mapping a failed shard's wait back
-// onto exactly its operations; worker attributes the spans to the
-// producer's observatory ring.
+// ackItem is one durable batch in flight between its worker and the
+// acker. tasks/results are copies (the worker reuses its own slices);
+// shardOf[i] is task i's home shard — or shardAll for a cross-shard
+// transaction — for mapping a failed shard's wait back onto exactly its
+// operations; worker attributes the spans to the producer's observatory
+// ring.
 type ackItem struct {
 	tasks   []task
 	results []opResult
@@ -118,37 +118,27 @@ func (s *Server) finishDurable(it *ackItem, resp []byte) []byte {
 		if sp != nil {
 			s.obs.Collect(it.worker, sp)
 		}
-		if wt.delta != 0 {
-			s.liveKeys.Add(wt.delta)
-		}
-		s.batches.Add(1)
-		s.batchedOps.Add(uint64(wt.nops))
-		s.lcs[wt.sh].noteOps(wt.nops)
+		s.account(wt.sh, wt.nops, wt.delta)
 	}
 
-	// Same coalescing as the worker's inline path: consecutive
-	// same-connection responses share one buffer and one syscall.
-	i := 0
-	for i < len(it.tasks) {
-		c := it.tasks[i].c
-		resp = resp[:0]
-		j := i
-		for j < len(it.tasks) && it.tasks[j].c == c {
-			resp = AppendResponse(resp, Response{
-				ID:     it.tasks[j].req.ID,
-				Status: it.results[j].status,
-				Value:  it.results[j].value,
-			})
-			j++
-		}
-		c.writeFrames(resp)
-		i = j
-	}
+	resp = writeResponses(it.tasks, it.results, resp)
 	for range it.tasks {
 		s.inflight.Done()
 	}
 	s.ackPool.Put(it)
 	return resp
+}
+
+// account records one committed shard sub-transaction of nops operations
+// once its response is due: the live-key adjustment, the batch counters
+// and the shard lifecycle's profiling op count.
+func (s *Server) account(sh, nops int, delta int64) {
+	if delta != 0 {
+		s.liveKeys.Add(delta)
+	}
+	s.batches.Add(1)
+	s.batchedOps.Add(uint64(nops))
+	s.lcs[sh].noteOps(nops)
 }
 
 // stopAcker closes the hand-off channel (all workers must have exited)

@@ -317,7 +317,6 @@ func pipeConn(cfg LoadConfig, i int, out *connOut, start <-chan struct{}) {
 			if recvd >= cfg.OpsPerConn {
 				break
 			}
-			issuing = sent < cfg.OpsPerConn
 		} else if !time.Now().Before(deadline) {
 			if sent == recvd {
 				break
@@ -325,7 +324,9 @@ func pipeConn(cfg LoadConfig, i int, out *connOut, start <-chan struct{}) {
 			issuing = false
 		}
 		buf = buf[:0]
-		for issuing && sent-recvd < cfg.Window {
+		// A fixed-work fill stops at the budget too, not only at a full
+		// window, so a connection never issues more than OpsPerConn.
+		for issuing && sent-recvd < cfg.Window && (cfg.OpsPerConn == 0 || sent < cfg.OpsPerConn) {
 			sent++
 			if cfg.TransferPct > 0 && r.Intn(100) < cfg.TransferPct {
 				from, to := transferKeys(r, cfg)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -26,6 +27,44 @@ func TestRunLoadFixedWork(t *testing.T) {
 	}
 	if st.P50us <= 0 || st.Throughput <= 0 {
 		t.Fatalf("missing latency/throughput: %+v", st)
+	}
+}
+
+// TestRunLoadPipelinedFixedWork: a pipelined fixed-work run issues and
+// answers exactly OpsPerConn operations per connection — a full window
+// must not carry the last fill past the budget.
+func TestRunLoadPipelinedFixedWork(t *testing.T) {
+	s := New(Config{Shards: 2, Workers: 2, Unguided: true})
+	if err := s.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	st, err := RunLoad(LoadConfig{
+		Addr:       s.Addr().String(),
+		Conns:      4,
+		Window:     16,
+		OpsPerConn: 1000,
+		Keys:       64,
+		Shards:     2,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// Shutdown drains every operation the server accepted, so the batched
+	// op count below covers anything issued past the budget.
+	if serr := s.Shutdown(ctx); serr != nil {
+		t.Fatalf("shutdown: %v", serr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var issued uint64
+	for _, n := range st.ShardOps {
+		issued += n
+	}
+	if issued != 4000 || st.Ops != 4000 {
+		t.Fatalf("issued %d, answered %d; want exactly 4x1000 each", issued, st.Ops)
+	}
+	if n := s.batchedOps.Load(); n != 4000 {
+		t.Fatalf("server executed %d ops, want 4000", n)
 	}
 }
 

@@ -37,9 +37,9 @@ type Config struct {
 	Shards int
 
 	// Workers sizes the execution pool. Worker i runs every one of its
-	// transactions as gstm.ThreadID(i) — on whichever shard a key routes
-	// to — so each shard's profiled Thread State Automaton keeps the
-	// paper's thread identity over live traffic.
+	// transactions — OpTxn included — as gstm.ThreadID(i) on whichever
+	// shard a key routes to, so each shard's profiled Thread State
+	// Automaton keeps the paper's thread identity over live traffic.
 	Workers int
 
 	// Batch is the maximum number of queued same-site, disjoint-key
@@ -157,6 +157,22 @@ func (cfg Config) normalize() Config {
 	return cfg
 }
 
+// Goroutine roles beyond the worker pool. Worker w runs as
+// gstm.ThreadID(w); role r runs as ThreadID(Workers+r) (see roleThread),
+// outside the WAL stager range [0, Workers) so its commit events never
+// touch a staging slot, and records its spans into its own observatory
+// ring.
+const (
+	roleScan  = iota // WAL snapshot scan (durability.go)
+	roleWatch        // every parked OpWatch/OpWaitKey long-poll (watch.go)
+	numRoles
+)
+
+// roleThread is the STM thread of a goroutine role.
+func (s *Server) roleThread(role int) gstm.ThreadID {
+	return gstm.ThreadID(s.cfg.Workers + role)
+}
+
 // Server is a network-facing transactional KV store on the guided STM,
 // hash-partitioned across cfg.Shards independent Systems.
 type Server struct {
@@ -168,10 +184,6 @@ type Server struct {
 
 	workers []*worker
 	rr      atomic.Uint32 // round-robin dispatch cursor
-
-	// coord executes OpTxn multi-key transactions on its own thread and
-	// queue (see coordinator.go).
-	coord *coordinator
 
 	// wals[s] is shard s's write-ahead log (nil slice when durability is
 	// off); warmed[s] records that recovery already installed a guided
@@ -240,11 +252,9 @@ func New(cfg Config) *Server {
 		conns: make(map[net.Conn]struct{}),
 		obs: obs.New(obs.Config{
 			Shards: cfg.Shards,
-			// Three rings beyond the worker pool: the txn coordinator
-			// (Workers), the WAL scan thread (Workers+1) and the watch
-			// thread (Workers+2), so their spans land in their own rings
-			// instead of clamping into worker 0's.
-			Workers:     cfg.Workers + 3,
+			// One ring per worker and per role, so role spans land in their
+			// own rings instead of clamping into worker 0's.
+			Workers:     cfg.Workers + numRoles,
 			SampleEvery: cfg.TraceSampleEvery,
 		}),
 	}
@@ -271,7 +281,6 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers = append(s.workers, newWorker(s, i))
 	}
-	s.coord = newCoordinator(s)
 	return s
 }
 
@@ -330,12 +339,6 @@ func (s *Server) Start() error {
 				func(context.Context) { w.loop() })
 		}(w)
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		pprof.Do(context.Background(), pprof.Labels("gstm", "server-coordinator"),
-			func(context.Context) { s.coord.loop() })
-	}()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -443,32 +446,17 @@ func (s *Server) serveConn(nc net.Conn) {
 		if _, err := io.ReadFull(br, payload[:n]); err != nil {
 			return
 		}
+		var req Request
+		var ops []TxnOp
+		var err error
 		if Op(payload[0]&^TraceBit) == OpTxn {
-			// The protocol's only variable-length request: decode the
-			// header + sub-ops and queue it for the txn coordinator. The
-			// sub-op slice is freshly allocated per transaction — it must
-			// outlive this reusable payload buffer.
-			req, ops, err := DecodeTxnRequest(payload[:n], nil)
-			if err != nil {
-				return // undecodable: cannot trust framing anymore
-			}
-			s.inflight.Add(1)
-			if s.draining.Load() {
-				s.inflight.Done()
-				respBuf = AppendResponse(respBuf[:0], Response{ID: req.ID, Status: StatusShutdown})
-				c.writeFrames(respBuf)
-				continue
-			}
-			enq := time.Now()
-			select {
-			case s.coord.queue <- txnTask{req: req, ops: ops, c: c, enq: enq.UnixNano(), decNs: enq.Sub(dec0).Nanoseconds()}:
-			case <-s.stop:
-				s.inflight.Done()
-				return
-			}
-			continue
+			// The protocol's only variable-length request. The sub-op slice
+			// is freshly allocated per transaction — it must outlive this
+			// reusable payload buffer.
+			req, ops, err = DecodeTxnRequest(payload[:n], nil)
+		} else {
+			req, err = DecodeRequest(payload[:n])
 		}
-		req, err := DecodeRequest(payload[:n])
 		if err != nil {
 			return // undecodable: cannot trust framing anymore
 		}
@@ -505,7 +493,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			w := s.workers[int(s.rr.Add(1))%len(s.workers)]
 			enq := time.Now()
 			select {
-			case w.queue <- task{req: req, c: c, enq: enq.UnixNano(), decNs: enq.Sub(dec0).Nanoseconds()}:
+			case w.queue <- task{req: req, ops: ops, c: c, enq: enq.UnixNano(), decNs: enq.Sub(dec0).Nanoseconds()}:
 			case <-s.stop:
 				s.inflight.Done()
 				return

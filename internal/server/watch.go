@@ -16,11 +16,9 @@ import (
 // no server-side polling loop, no periodic revalidation.
 //
 // Watches run outside the worker pool, one goroutine per outstanding
-// watch, all on the dedicated watch thread (ThreadID Workers+2; the txn
-// coordinator owns Workers and the WAL scan Workers+1). Concurrent
-// transactions on one ThreadID are
-// safe — telemetry stripes are atomic and the guidance gate is lock-free —
-// they only share a telemetry stripe and a TSA site, which is the point:
+// watch, all on the watch role's thread (see roleThread). Concurrent
+// transactions on one ThreadID are safe — telemetry stripes are atomic and
+// the guidance gate is lock-free — they only share a telemetry stripe and a TSA site, which is the point:
 // the watch site is a single stable label instead of Workers noisy ones.
 //
 // Drain: Shutdown and Crash cancel watchCtx before waiting out inflight,
@@ -28,24 +26,20 @@ import (
 // StatusShutdown; a watch arriving while draining is refused with
 // StatusWouldBlock without ever parking (see serveConn).
 
-// watchThread is the STM thread every watch transaction runs as.
-func (s *Server) watchThread() gstm.ThreadID {
-	return gstm.ThreadID(s.cfg.Workers + 2)
-}
-
 // serveWatch runs one OpWatch/OpWaitKey long-poll to completion and writes
 // its response. Called on a dedicated goroutine holding one inflight slot.
 func (s *Server) serveWatch(req Request, c *conn) {
 	defer s.inflight.Done()
 	sh := s.router.HomeOf(req.Key)
 	st := s.stores[sh]
+	thread := s.roleThread(roleWatch)
 
 	var sp obs.Span
 	begin := time.Now().UnixNano()
-	sp.Start(req.ID, uint8(req.Op), uint8(sh), uint8(s.watchThread()), 1, req.Trace, begin)
+	sp.Start(req.ID, uint8(req.Op), uint8(sh), uint8(thread), 1, req.Trace, begin)
 
 	var val uint64
-	err := s.router.System(sh).Run(nil, s.watchThread(), siteWatch, func(tx *gstm.Tx) error {
+	err := s.router.System(sh).Run(nil, thread, siteWatch, func(tx *gstm.Tx) error {
 		v, ok := st.Get(tx, int64(req.Key))
 		if !ok || (req.Op == OpWatch && v == req.Arg) {
 			tx.Retry()
@@ -72,6 +66,6 @@ func (s *Server) serveWatch(req Request, c *conn) {
 		cause = obs.CauseSpurious
 	}
 	sp.Finish(cause, time.Now().UnixNano())
-	s.obs.Collect(int(s.watchThread()), &sp)
+	s.obs.Collect(int(thread), &sp)
 	c.writeFrames(AppendResponse(nil, resp))
 }

@@ -7,7 +7,6 @@ import (
 	"gstm"
 	"gstm/internal/obs"
 	"gstm/internal/shard"
-	"gstm/internal/stmds"
 	"gstm/internal/wal"
 )
 
@@ -23,17 +22,15 @@ const (
 	siteAdd
 	siteDel
 	// siteScan is the WAL's consistent snapshot scan and recovery replay —
-	// run on the dedicated scan thread (ThreadID Workers+1), outside the
-	// WAL stager range, so its commits never touch a staging slot.
+	// run on the scan role's thread, outside the WAL stager range, so its
+	// commits never touch a staging slot.
 	siteScan
 	// siteWatch is the blocking long-poll site (OpWatch/OpWaitKey), run on
-	// the dedicated watch thread (ThreadID Workers+2) — any number of
-	// watches may be parked on it concurrently (see watch.go).
+	// the watch role's thread — any number of watches may be parked on it
+	// concurrently (see watch.go).
 	siteWatch
-	// siteTxn is the multi-key transaction site (OpTxn), run on the
-	// dedicated coordinator thread (ThreadID Workers) — inside the WAL
-	// stager range, since a cross-shard transaction stages redo on every
-	// participant shard's log (see coordinator.go).
+	// siteTxn is the multi-key transaction site (OpTxn), run on the worker
+	// that received the transaction (see execTxn).
 	siteTxn
 )
 
@@ -50,12 +47,15 @@ func site(op Op) gstm.TxnID {
 	}
 }
 
-// task is one queued data operation awaiting a worker. enq/decNs carry the
+// task is one queued data operation awaiting a worker. ops holds an
+// OpTxn's sub-operations (owned by the task, decoded off the connection's
+// reusable payload buffer); nil for every other op. enq/decNs carry the
 // reader's span timestamps: when the task was queued (unix nanos) and how
 // long the frame read + decode took, so the worker can reconstruct the
 // request's decode and queue-wait phases without another clock read.
 type task struct {
 	req   Request
+	ops   []TxnOp
 	c     *conn
 	enq   int64
 	decNs int64
@@ -74,7 +74,8 @@ type opResult struct {
 // thread: worker w is gstm.ThreadID(w) on every shard it touches. A batch
 // is scatter-gathered by home shard — one sub-transaction per shard, in
 // ascending shard order — so a batch that happens to live on one shard
-// runs exactly as the unsharded server ran it.
+// runs exactly as the unsharded server ran it. An OpTxn is always a batch
+// of its own and runs all-or-nothing across its shards (see execTxn).
 type worker struct {
 	srv   *Server
 	id    gstm.ThreadID
@@ -97,10 +98,12 @@ type worker struct {
 	spans    []obs.Span
 	spanOpts [][]gstm.TxOption
 
-	// stg is the current shard sub-transaction's WAL redo staging; valid
-	// only while logging is true (durable server, mutating batch).
-	stg     wal.Staging
+	// stgs[sh] is shard sh's WAL redo staging for the running transaction;
+	// valid only while logging is true (durable server, mutating batch).
+	// deltas[sh] is an OpTxn's live-key adjustment on shard sh.
+	stgs    []wal.Staging
 	logging bool
+	deltas  []int64
 }
 
 func newWorker(s *Server, id int) *worker {
@@ -112,6 +115,8 @@ func newWorker(s *Server, id int) *worker {
 		results: make([]opResult, s.cfg.Batch),
 		plan:    s.router.NewPlan(),
 		spans:   make([]obs.Span, s.cfg.Shards),
+		stgs:    make([]wal.Staging, s.cfg.Shards),
+		deltas:  make([]int64, s.cfg.Shards),
 	}
 	w.spanOpts = make([][]gstm.TxOption, s.cfg.Shards)
 	for sh := range w.spanOpts {
@@ -125,7 +130,13 @@ func (w *worker) loop() {
 		if !w.fillBatch() {
 			return
 		}
-		w.execBatch()
+		var it *ackItem
+		if w.batch[0].req.Op == OpTxn {
+			it = w.execTxn()
+		} else {
+			it = w.execBatch()
+		}
+		w.reply(it)
 	}
 }
 
@@ -134,7 +145,9 @@ func (w *worker) loop() {
 // batch while they share the first one's kind and touch pairwise-disjoint
 // keys. The first operation violating either rule is held over — never
 // reordered past, so per-connection request order is preserved within a
-// worker. Returns false when the server is stopping.
+// worker. An OpTxn never coalesces: it closes a running batch as the
+// holdover and is always a batch of one. Returns false when the server
+// is stopping.
 func (w *worker) fillBatch() bool {
 	w.batch = w.batch[:0]
 	if w.hasPending {
@@ -149,7 +162,7 @@ func (w *worker) fillBatch() bool {
 		}
 	}
 	kind := w.batch[0].req.Op
-	for len(w.batch) < w.srv.cfg.Batch {
+	for kind != OpTxn && len(w.batch) < w.srv.cfg.Batch {
 		select {
 		case t := <-w.queue:
 			if t.req.Op != kind || w.batchHasKey(t.req.Key) {
@@ -173,15 +186,17 @@ func (w *worker) batchHasKey(k uint64) bool {
 	return false
 }
 
-// execBatch scatter-gathers the batch by home shard, runs one transaction
-// per touched shard, and writes every response. Operations against
-// disjoint keys are independent, so folding a shard's sub-batch into one
-// atomic block changes neither their results nor the store's final state
-// versus running them back to back — it only spends one commit (and one
-// Tseq slot) for up to Batch operations. Shards commit independently:
-// a cross-shard batch is not atomic as a whole, which is fine for the
-// same reason — its operations never share a key.
-func (w *worker) execBatch() {
+// execBatch scatter-gathers the batch by home shard and runs one
+// transaction per touched shard, leaving every operation's outcome in
+// w.results. Operations against disjoint keys are independent, so
+// folding a shard's sub-batch into one atomic block changes neither their
+// results nor the store's final state versus running them back to back —
+// it only spends one commit (and one Tseq slot) for up to Batch
+// operations. Shards commit independently: a cross-shard batch is not
+// atomic as a whole, which is fine for the same reason — its operations
+// never share a key. A durable batch returns the ack item carrying its
+// WAL obligations (see reply).
+func (w *worker) execBatch() *ackItem {
 	s := w.srv
 	kind := w.batch[0].req.Op
 	w.plan.Build(len(w.batch), func(i int) uint64 { return w.batch[i].req.Key })
@@ -197,7 +212,6 @@ func (w *worker) execBatch() {
 	deq := time.Now().UnixNano()
 	for _, sh := range w.plan.Active() {
 		idxs := w.plan.Group(sh)
-		first := &w.batch[idxs[0]]
 		forced := false
 		for _, i := range idxs {
 			if w.batch[i].req.Trace {
@@ -205,31 +219,21 @@ func (w *worker) execBatch() {
 				break
 			}
 		}
-		sp := &w.spans[sh]
-		begin := first.enq - first.decNs
-		sp.Start(first.req.ID, uint8(kind), uint8(sh), uint8(w.id), len(idxs), forced, begin)
-		sp.Add(obs.PhaseDecode, obs.CauseNone, 0, begin, first.decNs)
-		sp.Add(obs.PhaseQueue, obs.CauseNone, 0, first.enq, deq-first.enq)
+		w.openSpan(sh, &w.batch[idxs[0]], len(idxs), forced, deq)
 		w.spanOpts[sh][0] = w.runOpts[0]
 	}
 
 	durable := s.wals != nil && kind != OpGet
 	w.plan.Run(nil, w.id, site(kind), func(tx *gstm.Tx, sh int, idxs []int) error {
-		w.logging = false
 		if durable {
-			// Fail fast on a dead log: committing state whose durability
-			// can never be promised would make memory diverge from disk.
-			if s.wals[sh].Failed() {
-				return errWALUnavailable
+			if err := w.stage(sh, site(kind)); err != nil {
+				return err
 			}
-			// Stage inside the body so a retry starts a fresh record; the
-			// commit event stamps the staged ops with this commit's wv.
-			w.stg = s.wals[sh].Stage(int(w.id), uint16(site(kind)))
-			w.logging = true
 		}
-		st := s.stores[sh]
+		w.logging = durable
 		for _, i := range idxs {
-			w.results[i] = w.applyOp(tx, st, w.batch[i].req)
+			r := &w.batch[i].req
+			w.results[i] = w.applyOp(tx, sh, r.Op, r.Key, r.Arg)
 		}
 		return nil
 	}, shard.WithShardOptions(func(sh int) []gstm.TxOption { return w.spanOpts[sh] }))
@@ -242,115 +246,229 @@ func (w *worker) execBatch() {
 	for _, sh := range w.plan.Active() {
 		idxs := w.plan.Group(sh)
 		err := w.plan.Err(sh)
+		var seq uint64
 		if durable {
 			for _, i := range idxs {
 				it.shardOf[i] = int32(sh)
 			}
+			if err != nil {
+				// The failed attempt may have staged ops; drop them before the
+				// next transaction on this shard can inherit them.
+				s.wals[sh].Abandon(int(w.id))
+			} else if seq, err = s.wals[sh].ThreadSeq(int(w.id)); err != nil {
+				err = errWALUnavailable // the log refused the commit's record
+			}
 		}
-		if err != nil && durable {
-			// The failed attempt may have staged ops; drop them before the
-			// next transaction on this shard can inherit them.
-			s.wals[sh].Abandon(int(w.id))
+		if err != nil {
+			st, cause := statusOf(err)
+			if st == StatusUnavailable {
+				s.router.System(sh).Telemetry().WALRefused(uint64(w.id))
+			}
+			for _, i := range idxs {
+				w.results[i] = opResult{status: st}
+			}
+			w.finishSpan(sh, cause)
+			continue
 		}
-		switch {
-		case err == nil:
+		var delta int64
+		for _, i := range idxs {
+			delta += w.results[i].delta
+		}
+		if durable {
+			// Don't block for the flush here: hand the record seq to the
+			// acker, which withholds the responses until it is durable per
+			// the mode — written (relaxed) or fsynced (strict) — while this
+			// worker moves on to its next batch. The acker also does this
+			// group's accounting, post-ack, and stamps the span's WAL-ack
+			// phase (the span rides in the wait).
+			it.waits = append(it.waits, ackWait{sh: sh, seq: seq, span: w.spans[sh], spanned: true, nops: len(idxs), delta: delta})
+			continue
+		}
+		s.account(sh, len(idxs), delta)
+		w.finishSpan(sh, obs.CauseNone)
+	}
+	return it
+}
+
+// execTxn runs the batch's single OpTxn as one transaction over every
+// shard its sub-ops touch — all-or-nothing across shards through
+// Router.RunMulti (DESIGN.md "Cross-shard commit"), degenerating to the
+// ordinary single-shard fast path when they share a home — as this
+// worker's thread at siteTxn, and leaves its one result in w.results[0].
+// A committed durable transaction returns the ack item carrying one wait
+// per participant shard.
+func (w *worker) execTxn() *ackItem {
+	s := w.srv
+	t := &w.batch[0]
+	w.plan.Build(len(t.ops), func(i int) uint64 { return t.ops[i].Key })
+	shards := w.plan.Active()
+	mutating := false
+	for _, op := range t.ops {
+		mutating = mutating || op.Op != OpGet
+	}
+	durable := s.wals != nil && mutating
+	// One span per transaction, attributed to the first sub-op's shard.
+	sh0 := s.router.HomeOf(t.ops[0].Key)
+	w.openSpan(sh0, t, len(t.ops), t.req.Trace, time.Now().UnixNano())
+	w.spanOpts[sh0][0] = gstm.WithMaxAttempts(s.cfg.MaxAttempts)
+
+	var value uint64
+	err := s.router.RunMulti(nil, shards, w.id, siteTxn, func(m *shard.MultiTx) error {
+		for _, sh := range shards {
+			w.deltas[sh] = 0
 			if durable {
-				// Don't block for the flush here: capture the record seq and
-				// let the acker withhold the responses until it is durable
-				// per the mode — written (relaxed) or fsynced (strict) —
-				// while this worker moves on to its next batch. The acker
-				// also does this group's accounting, post-ack, and stamps
-				// the span's WAL-ack phase (the span rides in the wait).
-				seq, werr := s.wals[sh].ThreadSeq(int(w.id))
-				if werr != nil {
-					for _, i := range idxs {
-						w.results[i] = opResult{status: StatusUnavailable}
-					}
-					s.router.System(sh).Telemetry().WALRefused(uint64(w.id))
-					w.finishSpan(sh, obs.CauseWALUnavailable)
-					continue
+				if err := w.stage(sh, siteTxn); err != nil {
+					return err
 				}
-				var delta int64
-				for _, i := range idxs {
-					delta += w.results[i].delta
-				}
-				it.waits = append(it.waits, ackWait{sh: sh, seq: seq, span: w.spans[sh], spanned: true, nops: len(idxs), delta: delta})
-				continue
 			}
-			var delta int64
-			for _, i := range idxs {
-				delta += w.results[i].delta
+		}
+		w.logging = durable
+		for _, op := range t.ops {
+			sh := s.router.HomeOf(op.Key)
+			r := w.applyOp(m.On(sh), sh, op.Op, op.Key, op.Arg)
+			// Sub-op semantics are unconditional: an absent key reads and
+			// deletes as 0 without failing the transaction, and a Put yields
+			// its argument (statuses describe the whole transaction).
+			value = r.value
+			if op.Op == OpPut {
+				value = op.Arg
 			}
-			if delta != 0 {
-				s.liveKeys.Add(delta)
-			}
-			s.batches.Add(1)
-			s.batchedOps.Add(uint64(len(idxs)))
-			s.lcs[sh].noteOps(len(idxs))
-			w.finishSpan(sh, obs.CauseNone)
-		case errors.Is(err, errWALUnavailable) || errors.Is(err, wal.ErrFailed):
-			for _, i := range idxs {
-				w.results[i] = opResult{status: StatusUnavailable}
-			}
-			s.router.System(sh).Telemetry().WALRefused(uint64(w.id))
-			w.finishSpan(sh, obs.CauseWALUnavailable)
-		case errors.Is(err, gstm.ErrRetryBudgetExhausted):
-			for _, i := range idxs {
-				w.results[i] = opResult{status: StatusBudget}
-			}
-			w.finishSpan(sh, obs.CauseRetryBudget)
-		case errors.Is(err, gstm.ErrCanceled):
-			for _, i := range idxs {
-				w.results[i] = opResult{status: StatusCanceled}
-			}
-			w.finishSpan(sh, obs.CauseCanceled)
-		default:
-			for _, i := range idxs {
-				w.results[i] = opResult{status: StatusBadRequest}
-			}
-			// Not in the abort taxonomy (a body error, not an STM outcome);
-			// spurious is the closest "not a modeled conflict" label.
-			w.finishSpan(sh, obs.CauseSpurious)
+			w.deltas[sh] += r.delta
+		}
+		return nil
+	}, w.spanOpts[sh0]...)
+	if durable && err != nil {
+		// A failed attempt may have staged ops on any participant; drop
+		// them before this worker's next transaction on those shards.
+		for _, sh := range shards {
+			s.wals[sh].Abandon(int(w.id))
 		}
 	}
 
-	if durable {
-		// Hand the batch to the acker (copies: these slices are reused by
-		// the next batch); it writes the responses and releases inflight.
+	var it *ackItem
+	if durable && err == nil {
+		it = s.getAckItem(1)
+		it.worker, it.shardOf[0] = int(w.id), shardAll
+		for _, sh := range shards {
+			seq, werr := s.wals[sh].ThreadSeq(int(w.id))
+			if werr != nil {
+				// The commit executed in memory, but a participant's log
+				// refused its record: durability cannot be promised.
+				err = errWALUnavailable
+				continue
+			}
+			it.waits = append(it.waits, ackWait{sh: sh, seq: seq, nops: len(w.plan.Group(sh)), delta: w.deltas[sh]})
+		}
+	}
+	if err != nil {
+		if it != nil {
+			s.ackPool.Put(it)
+		}
+		st, cause := statusOf(err)
+		if st == StatusUnavailable {
+			for _, sh := range shards {
+				s.router.System(sh).Telemetry().WALRefused(uint64(w.id))
+			}
+		}
+		w.results[0] = opResult{status: st}
+		w.finishSpan(sh0, cause)
+		return nil
+	}
+	w.results[0] = opResult{value: value}
+	if it != nil {
+		// The span rides on the first wait; the others are span-less so
+		// the observatory sees exactly one record per transaction.
+		it.waits[0].span, it.waits[0].spanned = w.spans[sh0], true
+		return it
+	}
+	for _, sh := range shards {
+		s.account(sh, len(w.plan.Group(sh)), w.deltas[sh])
+	}
+	w.finishSpan(sh0, obs.CauseNone)
+	return nil
+}
+
+// reply delivers the batch's results. A durable batch goes to the acker
+// (as copies: these slices are reused by the next batch), which writes
+// the responses and releases inflight once the WAL obligations are met;
+// otherwise the responses are written here.
+func (w *worker) reply(it *ackItem) {
+	s := w.srv
+	if it != nil {
 		it.tasks = append(it.tasks[:0], w.batch...)
 		it.results = append(it.results[:0], w.results[:len(w.batch)]...)
 		s.acks <- it
 		return
 	}
-
-	// Write responses, coalescing consecutive same-connection frames into
-	// one buffer (and one syscall) each.
-	i := 0
-	for i < len(w.batch) {
-		c := w.batch[i].c
-		w.resp = w.resp[:0]
-		j := i
-		for j < len(w.batch) && w.batch[j].c == c {
-			w.resp = AppendResponse(w.resp, Response{
-				ID:     w.batch[j].req.ID,
-				Status: w.results[j].status,
-				Value:  w.results[j].value,
-			})
-			j++
-		}
-		c.writeFrames(w.resp)
-		i = j
-	}
+	w.resp = writeResponses(w.batch, w.results, w.resp)
 	for range w.batch {
 		s.inflight.Done()
 	}
 }
 
-// applyOp performs one operation inside shard st's sub-transaction,
-// staging each mutation's redo image for the WAL when logging is on.
-func (w *worker) applyOp(tx *gstm.Tx, st *stmds.HashTable[uint64], req Request) opResult {
-	k := int64(req.Key)
-	switch req.Op {
+// writeResponses writes results[i] for every task, coalescing consecutive
+// same-connection frames into one buffer (and one syscall) each; buf is
+// scratch, returned for reuse.
+func writeResponses(tasks []task, results []opResult, buf []byte) []byte {
+	i := 0
+	for i < len(tasks) {
+		c := tasks[i].c
+		buf = buf[:0]
+		j := i
+		for j < len(tasks) && tasks[j].c == c {
+			buf = AppendResponse(buf, Response{
+				ID:     tasks[j].req.ID,
+				Status: results[j].status,
+				Value:  results[j].value,
+			})
+			j++
+		}
+		c.writeFrames(buf)
+		i = j
+	}
+	return buf
+}
+
+// statusOf maps a failed transaction's error to the status every one of
+// its operations answers with and the span's terminal cause.
+func statusOf(err error) (Status, obs.Cause) {
+	switch {
+	case errors.Is(err, wal.ErrFailed): // includes errWALUnavailable
+		return StatusUnavailable, obs.CauseWALUnavailable
+	case errors.Is(err, gstm.ErrRetryBudgetExhausted):
+		return StatusBudget, obs.CauseRetryBudget
+	case errors.Is(err, gstm.ErrCanceled):
+		return StatusCanceled, obs.CauseCanceled
+	default:
+		// Not in the abort taxonomy (a body error, not an STM outcome);
+		// spurious is the closest "not a modeled conflict" label.
+		return StatusBadRequest, obs.CauseSpurious
+	}
+}
+
+// stage opens shard sh's WAL redo staging for the attempt about to run.
+// Staging inside the body means a retry starts a fresh record; the commit
+// event stamps the staged ops with the commit's wv (for a cross-shard
+// commit, the one exchanged wv every participant records). A dead log
+// fails fast: committing state whose durability can never be promised
+// would make memory diverge from disk.
+func (w *worker) stage(sh int, site gstm.TxnID) error {
+	l := w.srv.wals[sh]
+	if l.Failed() {
+		return errWALUnavailable
+	}
+	w.stgs[sh] = l.Stage(int(w.id), uint16(site))
+	return nil
+}
+
+// applyOp performs one operation inside shard sh's sub-transaction,
+// staging each mutation's redo image on stgs[sh] when logging is on. The
+// result has single-op semantics: an absent key's Get or Del answers
+// StatusNotFound, and a Put yields 1 when it replaced a value.
+func (w *worker) applyOp(tx *gstm.Tx, sh int, op Op, key, arg uint64) opResult {
+	st := w.srv.stores[sh]
+	k := int64(key)
+	switch op {
 	case OpGet:
 		v, ok := st.Get(tx, k)
 		if !ok {
@@ -358,38 +476,50 @@ func (w *worker) applyOp(tx *gstm.Tx, st *stmds.HashTable[uint64], req Request) 
 		}
 		return opResult{value: v}
 	case OpPut:
-		if st.Set(tx, k, req.Arg) {
-			w.stagePut(req.Key, req.Arg)
+		if st.Set(tx, k, arg) {
+			w.stagePut(sh, key, arg)
 			return opResult{value: 1}
 		}
-		st.InsertNoCount(tx, k, req.Arg)
-		w.stagePut(req.Key, req.Arg)
+		st.InsertNoCount(tx, k, arg)
+		w.stagePut(sh, key, arg)
 		return opResult{value: 0, delta: 1}
 	case OpAdd:
 		if v, ok := st.Get(tx, k); ok {
-			nv := uint64(int64(v) + int64(req.Arg))
+			nv := uint64(int64(v) + int64(arg))
 			st.Set(tx, k, nv)
-			w.stagePut(req.Key, nv)
+			w.stagePut(sh, key, nv)
 			return opResult{value: nv}
 		}
-		st.InsertNoCount(tx, k, req.Arg)
-		w.stagePut(req.Key, req.Arg)
-		return opResult{value: req.Arg, delta: 1}
+		st.InsertNoCount(tx, k, arg)
+		w.stagePut(sh, key, arg)
+		return opResult{value: arg, delta: 1}
 	default: // OpDel
 		if !st.RemoveNoCount(tx, k) {
 			return opResult{status: StatusNotFound}
 		}
 		if w.logging {
-			w.stg.Del(req.Key)
+			w.stgs[sh].Del(key)
 		}
 		return opResult{delta: -1}
 	}
 }
 
-func (w *worker) stagePut(key, val uint64) {
+func (w *worker) stagePut(sh int, key, val uint64) {
 	if w.logging {
-		w.stg.Put(key, val)
+		w.stgs[sh].Put(key, val)
 	}
+}
+
+// openSpan starts shard sh's scratch span for a transaction of n
+// operations, reconstructing the decode and queue-wait phases from the
+// first task's timestamps (deq is when the batch left the queue); the STM
+// run then appends gate/retry/commit events.
+func (w *worker) openSpan(sh int, first *task, n int, forced bool, deq int64) {
+	sp := &w.spans[sh]
+	begin := first.enq - first.decNs
+	sp.Start(first.req.ID, uint8(first.req.Op), uint8(sh), uint8(w.id), n, forced, begin)
+	sp.Add(obs.PhaseDecode, obs.CauseNone, 0, begin, first.decNs)
+	sp.Add(obs.PhaseQueue, obs.CauseNone, 0, first.enq, deq-first.enq)
 }
 
 // finishSpan closes shard sh's scratch span with the sub-transaction's

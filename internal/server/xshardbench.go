@@ -83,9 +83,9 @@ type XShardBenchReport struct {
 	Config      XShardBenchConfig `json:"config"`
 	// Baseline and Check are two interleaved series at transfer-pct 0 —
 	// identical pure single-shard load with the cross-shard machinery
-	// compiled in and idle. Their ratio is the regression gate: the
-	// coordinator, the MultiGroup fence and the prepared-commit split must
-	// cost the plain path nothing.
+	// compiled in and idle. Their ratio is the regression gate: the OpTxn
+	// path, the MultiGroup fence and the prepared-commit split must cost
+	// the plain path nothing.
 	Baseline XShardPoint `json:"baseline"`
 	Check    XShardPoint `json:"check"`
 	// BaselineRatio = min/max of the two pct-0 medians (1.0 = identical).
@@ -173,7 +173,7 @@ func BenchXShard(cfg XShardBenchConfig) (XShardBenchReport, error) {
 	}
 
 	// Populate the keyspace and fault in both execution paths (batched
-	// single-op and coordinator) before anything is measured.
+	// single-op and OpTxn) before anything is measured.
 	prime := load
 	prime.TransferPct = 20
 	if _, err := RunLoad(prime); err != nil {

@@ -1,71 +1,26 @@
 package telemetry
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"gstm/internal/obs"
 )
 
-// Log-bucketed latency histogram with a fixed HDR-style bucket layout:
-// values (nanoseconds) map to buckets whose width grows geometrically, with
-// subCount sub-buckets per power of two for ≤25% relative bucket width.
-// The layout is identical for every Histogram, so histograms merge by
-// adding bucket counts — no rebinning, no allocation on the record path.
-const (
-	subBits  = 2
-	subCount = 1 << subBits // sub-buckets per octave
+// Log-bucketed latency histogram over obs's shared bucket layout
+// (obs.BucketOf): the layout is identical for every Histogram and for the
+// variance observatory's aggregates, so histograms merge by adding bucket
+// counts — no rebinning, no allocation on the record path.
 
-	// numBuckets caps the representable range: the last bucket starts at
-	// 7<<33 ns ≈ 60s and absorbs everything longer. STM commit latencies
-	// are ns–ms; 60s headroom covers even pathological gate holds.
-	numBuckets = 140
-
-	// histShards is the record-path sharding. Latency observations are
-	// sampled (see Metrics.TxStart), so contention is far below the raw
-	// counters' and four shards suffice.
-	histShards = 4
-)
-
-// bucketOf maps a non-negative nanosecond value to its bucket index.
-// Values 0..3 get exact buckets; beyond that, bucket i covers
-// [lower(i), lower(i+1)) with lower(i) = (subCount + i%subCount) << (i/subCount - 1).
-func bucketOf(v uint64) int {
-	if v < subCount {
-		return int(v)
-	}
-	exp := bits.Len64(v) - subBits - 1
-	idx := exp*subCount + int(v>>uint(exp)) // v>>exp ∈ [subCount, 2*subCount)
-	if idx >= numBuckets {
-		return numBuckets - 1
-	}
-	return idx
-}
-
-// bucketLow returns the inclusive lower bound (ns) of bucket i.
-func bucketLow(i int) uint64 {
-	if i < subCount {
-		return uint64(i)
-	}
-	exp := i/subCount - 1
-	mant := uint64(subCount + i%subCount)
-	return mant << uint(exp)
-}
-
-// bucketHigh returns the exclusive upper bound (ns) of bucket i, which is
-// the next bucket's lower bound. The last bucket is open-ended; doubling
-// its lower bound keeps quantile estimates finite while still mapping back
-// into the last bucket when snapshots are re-binned for merging.
-func bucketHigh(i int) uint64 {
-	if i >= numBuckets-1 {
-		return 2 * bucketLow(numBuckets-1)
-	}
-	return bucketLow(i + 1)
-}
+// histShards is the record-path sharding. Latency observations are
+// sampled (see Metrics.TxStart), so contention is far below the raw
+// counters' and four shards suffice.
+const histShards = 4
 
 // histShard is one shard of a Histogram. Trailing fields pad the shard's
 // tail so adjacent shards' hot counters do not share a line.
 type histShard struct {
-	counts [numBuckets]atomic.Uint64
+	counts [obs.NumBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64
 	max    atomic.Uint64
@@ -86,7 +41,7 @@ func (h *Histogram) Observe(thread uint64, d time.Duration) {
 	}
 	v := uint64(d)
 	s := &h.shards[thread&(histShards-1)]
-	s.counts[bucketOf(v)].Add(1)
+	s.counts[obs.BucketOf(v)].Add(1)
 	s.count.Add(1)
 	s.sum.Add(v)
 	for {
@@ -100,7 +55,7 @@ func (h *Histogram) Observe(thread uint64, d time.Duration) {
 // Snapshot merges all shards into a point-in-time view with quantile
 // estimates. Safe to call while writers run.
 func (h *Histogram) Snapshot() HistSnapshot {
-	var merged [numBuckets]uint64
+	var merged [obs.NumBuckets]uint64
 	var snap HistSnapshot
 	var sum uint64
 	for i := range h.shards {
@@ -132,7 +87,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	for b, n := range merged {
 		if n > 0 {
 			snap.Buckets = append(snap.Buckets, HistBucket{
-				Le:    time.Duration(bucketHigh(b)),
+				Le:    time.Duration(obs.BucketHigh(b)),
 				Count: n,
 			})
 		}
@@ -143,7 +98,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // quantile returns the q-quantile estimate: the midpoint of the bucket
 // where the cumulative count crosses ceil(q*total), capped at the observed
 // maximum.
-func quantile(merged *[numBuckets]uint64, total uint64, q float64, max time.Duration) time.Duration {
+func quantile(merged *[obs.NumBuckets]uint64, total uint64, q float64, max time.Duration) time.Duration {
 	target := uint64(q * float64(total))
 	if target < 1 {
 		target = 1
@@ -152,7 +107,7 @@ func quantile(merged *[numBuckets]uint64, total uint64, q float64, max time.Dura
 	for b, n := range merged {
 		cum += n
 		if cum >= target {
-			mid := (bucketLow(b) + bucketHigh(b)) / 2
+			mid := (obs.BucketLow(b) + obs.BucketHigh(b)) / 2
 			if d := time.Duration(mid); d < max || max == 0 {
 				return d
 			}

@@ -46,21 +46,21 @@ func TestCounterIncReturnsShardLocalCount(t *testing.T) {
 func TestBucketMappingMonotoneAndConsistent(t *testing.T) {
 	prev := -1
 	for _, v := range []uint64{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 100, 1000, 1e6, 1e9, 60e9, 1e12, 1 << 62} {
-		b := bucketOf(v)
+		b := obs.BucketOf(v)
 		if b < prev {
 			t.Fatalf("bucketOf not monotone at %d: %d < %d", v, b, prev)
 		}
 		prev = b
-		if b < 0 || b >= numBuckets {
+		if b < 0 || b >= obs.NumBuckets {
 			t.Fatalf("bucketOf(%d) = %d out of range", v, b)
 		}
-		if low := bucketLow(b); b < numBuckets-1 && (v < low || v >= bucketHigh(b)) {
-			t.Fatalf("value %d outside its bucket %d: [%d, %d)", v, b, low, bucketHigh(b))
+		if low := obs.BucketLow(b); b < obs.NumBuckets-1 && (v < low || v >= obs.BucketHigh(b)) {
+			t.Fatalf("value %d outside its bucket %d: [%d, %d)", v, b, low, obs.BucketHigh(b))
 		}
 	}
 	// Every bucket's lower bound maps back to itself.
-	for i := 0; i < numBuckets; i++ {
-		if got := bucketOf(bucketLow(i)); got != i {
+	for i := 0; i < obs.NumBuckets; i++ {
+		if got := obs.BucketOf(obs.BucketLow(i)); got != i {
 			t.Fatalf("bucketOf(bucketLow(%d)) = %d", i, got)
 		}
 	}

@@ -338,14 +338,6 @@ func (rt *Runtime) Run(ctx context.Context, thread txid.ThreadID, txn txid.TxnID
 	return rt.run(ctx, thread, txn, fn, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts})
 }
 
-// RunSpan is Run with a variance-observatory span attached: gate waits,
-// per-attempt retries (with their abort causes) and the commit protocol's
-// lock/validate/publish phases are recorded into span's timeline. span may
-// be nil, in which case RunSpan is exactly Run.
-func (rt *Runtime) RunSpan(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, readOnly bool, maxAttempts int, span *obs.Span) error {
-	return rt.run(ctx, thread, txn, fn, RunOpts{ReadOnly: readOnly, MaxAttempts: maxAttempts, Span: span})
-}
-
 // RunOpt is Run taking the full options struct — the entrypoint gstm's
 // System.Run uses, and the only one exposing blocking mode.
 func (rt *Runtime) RunOpt(ctx context.Context, thread txid.ThreadID, txn txid.TxnID, fn func(*Tx) error, o RunOpts) error {

@@ -32,12 +32,12 @@ func overheadWorkload(b *testing.B, span *obs.Span) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		span.Start(uint32(i), 0, 0, 0, 1, false, begin)
-		_ = rt.RunSpan(ctx, 0, 0, func(tx *tl2.Tx) error {
+		_ = rt.RunOpt(ctx, 0, 0, func(tx *tl2.Tx) error {
 			for j := 0; j < nvars; j++ {
 				tl2.WriteAt(tx, arr, j, tl2.ReadAt(tx, arr, j)+1)
 			}
 			return nil
-		}, false, 0, span)
+		}, tl2.RunOpts{Span: span})
 	}
 }
 
