@@ -1,7 +1,7 @@
 // Typed hot-path microbenchmarks and allocation gates for the unboxed
 // slot protocol and the striped lock table. Paired with BENCH_speed.json,
 // the committed per-location-vs-striped sweep (cmd/gstm-loadgen
-// -speed-bench).
+// -sweep speed).
 package gstm_test
 
 import (

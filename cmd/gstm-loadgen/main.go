@@ -1,19 +1,25 @@
 // Command gstm-loadgen drives load against a running gstm-server and
 // measures service-level run-to-run variance guided vs unguided: R
-// repeated fixed-duration runs per mode reporting throughput and
-// p50/p95/p99 latency, with variance as the coefficient of variation of
-// per-run throughput and p95. With -out it writes the full comparison as
-// BENCH_server.json. With -once it performs a single run in whatever mode
-// the server is in (used by CI's server-smoke job), reporting aggregate
-// and — against a sharded server — per-shard completion spread. With
-// -shard-bench it ignores -addr, boots in-process servers itself, and
-// sweeps shard counts × workloads into BENCH_shard.json. With
-// -speed-bench it sweeps the STM engine's hot-path variants (unboxed
-// slot protocol over per-location lock words vs over striped lock
-// tables) across workloads and GOMAXPROCS into BENCH_speed.json. With
-// -xshard-bench it sweeps cross-shard transfer percentages into
-// BENCH_xshard.json; standalone runs can mix transfers into any load via
-// -transfer-pct and assert conservation with -check-balance.
+// interleaved runs per mode reporting throughput, latency quantiles and
+// the variance figures (per-connection completion spread, throughput and
+// p95 CV). With -out it writes the comparison as BENCH_server.json. With
+// -once it performs a single run in whatever mode the server is in (used
+// by CI's server-smoke job), reporting aggregate and — against a sharded
+// server — per-shard completion spread; standalone runs can mix transfers
+// into any load via -transfer-pct and assert conservation with
+// -check-balance.
+//
+// With -sweep it ignores -addr, boots in-process servers itself and runs
+// one of the committed sweeps, all in one record schema (interleaved
+// rounds, median and quartiles, summed server counters, environment
+// block):
+//
+//	-sweep shard   shard counts 1/2/4/8 x workloads, guided vs unguided (BENCH_shard.json)
+//	-sweep wal     WAL fsync windows vs a non-durable baseline (BENCH_wal.json)
+//	-sweep xshard  cross-shard transfer percentages 0-50 (BENCH_xshard.json)
+//	-sweep speed   the STM engine's hot path, per-location vs striped lock
+//	               tables across workloads and GOMAXPROCS (BENCH_speed.json;
+//	               its own 17 rounds, -runs does not apply)
 package main
 
 import (
@@ -33,7 +39,7 @@ func main() {
 		conns    = flag.Int("conns", 16, "concurrent client connections")
 		duration = flag.Duration("duration", 2*time.Second, "length of each measured run (timed mode)")
 		opsPer   = flag.Int("ops", 4000, "fixed-work mode: ops per connection per run (0 = timed mode)")
-		runs     = flag.Int("runs", 5, "measured runs per mode (R)")
+		runs     = flag.Int("runs", 5, "measured runs per mode or sweep point (R)")
 		keys     = flag.Int("keys", 128, "key-space size")
 		skew     = flag.Float64("skew", 5, "key skew exponent (1 = uniform; larger = hotter head)")
 		getPct   = flag.Int("get", 10, "percent GET")
@@ -42,35 +48,24 @@ func main() {
 		seed     = flag.Uint64("seed", 0xC0FFEE, "workload seed")
 		window   = flag.Int("window", 0, "pipeline depth per connection (0/1 = synchronous request/response)")
 		once     = flag.Bool("once", false, "single run in the server's current mode; skip the guided/unguided comparison")
-		shBench  = flag.Bool("shard-bench", false, "sweep shard counts x workloads against in-process servers (ignores -addr)")
-		spBench  = flag.Bool("speed-bench", false, "sweep engine hot-path variants (unboxed/unboxed+stripes) x workloads x GOMAXPROCS in-process (ignores -addr; BENCH_speed.json)")
-		durBench = flag.Bool("durability", false, "sweep WAL fsync windows vs a non-durable baseline against in-process servers (ignores -addr; BENCH_wal.json)")
-		xsBench  = flag.Bool("xshard-bench", false, "sweep cross-shard transfer percentages against an in-process sharded server (ignores -addr; BENCH_xshard.json)")
+		sweep    = flag.String("sweep", "", "run an in-process sweep instead of the guided/unguided comparison (ignores -addr): shard | wal | xshard | speed")
 		xferPct  = flag.Int("transfer-pct", 0, "percent of ops issued as two-key cross-shard transfers (one OpTxn each, zero-sum)")
 		balance  = flag.Bool("check-balance", false, "after the run, sum the signed key-space total and fail unless it is zero (transfers conserve balance)")
 		ledger   = flag.String("ledger", "", "drive an add-only load and write the acked/in-flight ledger JSON here; tolerates the server dying mid-run (kill-and-recover chaos)")
 		verify   = flag.String("verify-ledger", "", "check a recovered server against a ledger file: acked <= value <= acked+inflight for every key")
-		out      = flag.String("out", "", "write the report as JSON to this file (BENCH_server.json / BENCH_shard.json / BENCH_wal.json)")
+		out      = flag.String("out", "", "write the report as JSON to this file (BENCH_server.json, or with -sweep BENCH_shard.json / BENCH_wal.json / BENCH_xshard.json / BENCH_speed.json)")
 		trace    = flag.Bool("trace", false, "set the protocol trace-request bit on every op (server retains a span per op on /debug/trace)")
 		subs     = flag.Int("subscribers", 0, "long-poll watch connections riding alongside the load (each chains OpWatch on one hot key; wakeups reported as sub_wakeups)")
 		traceTab = flag.String("trace-addr", "", "server telemetry address (host:port): scrape /debug/trace?format=agg around the run and print the per-shard per-phase tail-attribution table")
 	)
 	flag.Parse()
 
-	if *shBench {
-		shardBench(*runs, *out)
-		return
-	}
-	if *spBench {
-		speedBench(*out)
-		return
-	}
-	if *durBench {
-		durabilityBench(*runs, *out)
-		return
-	}
-	if *xsBench {
-		xshardBench(*runs, *out)
+	if *sweep != "" {
+		rep, err := runSweep(*sweep, *runs)
+		if err != nil {
+			fatal(err)
+		}
+		writeReport(*out, rep)
 		return
 	}
 	if *verify != "" {
@@ -155,8 +150,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("ops=%d errors=%d throughput=%.0f ops/s p50=%.1fus p95=%.1fus p99=%.1fus\n",
-			st.Ops, st.Errors, st.Throughput, st.P50us, st.P95us, st.P99us)
+		fmt.Printf("ops=%d errors=%d throughput=%.0f ops/s %s\n", st.Ops, st.Errors, st.Throughput, st.Latency())
 		if len(st.ShardOps) > 0 {
 			fmt.Printf("spread: conns %.2f%%  shards %.2f%%  per-shard ops %v\n",
 				st.ConnSpreadPct, st.ShardSpreadPct, st.ShardOps)
@@ -191,128 +185,67 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "gstm-loadgen: %d runs/mode x %s, %d conns, %d keys (skew %.1f), mix get/put/del %d/%d/%d\n",
 		*runs, work, *conns, *keys, *skew, *getPct, *putPct, *delPct)
-	rep, err := server.BenchModes(server.BenchConfig{Load: load, Runs: *runs})
+	rep, err := server.SweepModes(load, *runs, os.Stderr)
 	if err != nil {
 		fatal(err)
 	}
-
-	printMode := func(m server.ModeReport) {
-		fmt.Printf("%-9s  %9.0f ops/s  cv %5.2f%%  p50 %7.1fus  p95 %7.1fus (cv %5.2f%%)  p99 %7.1fus  abort-ratio %.3f cv %5.2f%%  spread %5.2f%%  runtime-cv %5.2f%%  %d commits  %d aborts\n",
-			m.Mode, m.ThroughputMean, m.ThroughputCVPct, m.P50MeanUs, m.P95MeanUs, m.P95CVPct, m.P99MeanUs,
-			m.AbortRatioMean, m.AbortRatioCVPct, m.ConnSpreadMeanPct, m.RunTimeCVPct, m.Commits, m.Aborts)
-	}
-	printMode(rep.Unguided)
-	printMode(rep.Guided)
-	fmt.Printf("variance reduced (guided cv <= unguided cv): %v\n", rep.VarianceReduced)
+	fmt.Printf("variance reduced (guided <= unguided): %v\n", rep.VarianceReduced)
 	printTail()
-
-	if *out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", *out)
-	}
+	writeReport(*out, rep)
 }
 
-// speedBench runs the engine hot-path sweep and writes BENCH_speed.json.
-func speedBench(out string) {
-	fmt.Fprintln(os.Stderr, "gstm-loadgen: engine speed sweep (unboxed vs unboxed+stripes x read-only,mixed,write-heavy x GOMAXPROCS 1,2,4,8)")
-	rep := speedbench.Run(speedbench.Config{Progress: os.Stderr})
-	fmt.Printf("striped within bound of per-location on read-only and mixed at every core count: %v\n", rep.StripedWithinBound)
-	if out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
+// runSweep runs the named in-process sweep and prints its headline lines.
+func runSweep(name string, runs int) (any, error) {
+	switch name {
+	case "shard":
+		rep, err := server.SweepShards(runs, os.Stderr)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
+		for _, wl := range rep.Workloads {
+			fmt.Printf("%s: guided 4-shard speedup %.2fx, unguided %.2fx\n", wl.Workload, wl.GuidedSpeedup4x, wl.UnguidedSpeedup4x)
 		}
-		fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", out)
+		return rep, nil
+	case "wal":
+		rep, err := server.SweepWAL(runs, os.Stderr)
+		if err != nil {
+			return nil, err
+		}
+		for _, pt := range rep.Points {
+			fmt.Printf("%-14s rel %.2fx  appends %d fsyncs %d\n", pt.Name, pt.RelativeThroughput, pt.WALAppends, pt.WALFsyncs)
+		}
+		fmt.Printf("relaxed >= 70%% of baseline: %v\n", rep.RelaxedTargetMet)
+		return rep, nil
+	case "xshard":
+		rep, err := server.SweepXShard(runs, os.Stderr)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("single-shard path within 3%% (pct-0 ratio %.4f): %v; balance conserved: %v\n",
+			rep.BaselineRatio, rep.SingleShardWithin3Pct, rep.BalanceConserved)
+		return rep, nil
+	case "speed":
+		rep := speedbench.Run(speedbench.Config{Progress: os.Stderr})
+		fmt.Printf("striped within bound of per-location on read-only and mixed at every core count: %v\n", rep.StripedWithinBound)
+		return rep, nil
 	}
+	return nil, fmt.Errorf("unknown -sweep %q (want shard, wal, xshard or speed)", name)
 }
 
-// durabilityBench runs the WAL cost sweep and writes BENCH_wal.json.
-func durabilityBench(runs int, out string) {
-	fmt.Fprintln(os.Stderr, "gstm-loadgen: durability sweep (WAL off vs strict vs relaxed fsync windows; pipelined write-heavy fixed-work runs)")
-	rep, err := server.BenchDurability(server.WALBenchConfig{Runs: runs, Progress: os.Stderr})
+// writeReport writes rep as indented JSON to out (nothing when out is
+// empty).
+func writeReport(out string, rep any) {
+	if out == "" {
+		return
+	}
+	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
-	for _, pt := range rep.Points {
-		fmt.Printf("%-14s %9.0f ops/s (cv %5.2f%%)  rel %.2fx  appends %d fsyncs %d\n",
-			pt.Name, pt.ThroughputMean, pt.ThroughputCVPct, pt.RelativeThroughput,
-			pt.WALAppends, pt.WALFsyncs)
-	}
-	fmt.Printf("relaxed >= 70%% of baseline: %v\n", rep.RelaxedTargetMet)
-	if out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", out)
-	}
-}
-
-// xshardBench runs the in-process cross-shard transfer sweep and writes
-// BENCH_xshard.json.
-func xshardBench(runs int, out string) {
-	fmt.Fprintln(os.Stderr, "gstm-loadgen: cross-shard transfer sweep (transfer-pct 0/10/20/30/50 on 4 shards; pipelined fixed-work runs)")
-	rep, err := server.BenchXShard(server.XShardBenchConfig{Runs: runs, Progress: os.Stderr})
-	if err != nil {
+	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		fatal(err)
 	}
-	print := func(name string, pt server.XShardPoint) {
-		fmt.Printf("%-12s %9.0f ops/s  transfers %8d  xshard commits %8d aborts %6d (ratio %.3f)\n",
-			name, pt.ThroughputMedian, pt.Transfers, pt.XShardCommits, pt.XShardAborts, pt.XShardAbortRatio)
-	}
-	print("baseline/0", rep.Baseline)
-	print("check/0", rep.Check)
-	for _, pt := range rep.Points {
-		print(fmt.Sprintf("transfer/%d", pt.TransferPct), pt)
-	}
-	fmt.Printf("single-shard path within 3%% (pct-0 ratio %.4f): %v; balance conserved: %v\n",
-		rep.BaselineRatio, rep.SingleShardWithin3Pct, rep.BalanceConserved)
-	if out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", out)
-	}
-}
-
-// shardBench runs the in-process shard sweep and writes BENCH_shard.json.
-func shardBench(runs int, out string) {
-	cfg := server.ShardBenchConfig{Runs: runs, Progress: os.Stderr}
-	fmt.Fprintln(os.Stderr, "gstm-loadgen: shard sweep (1/2/4/8 shards x write-heavy,mixed; pipelined fixed-work runs)")
-	rep, err := server.BenchShards(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, wr := range rep.Workloads {
-		fmt.Printf("%s: guided 4-shard speedup %.2fx, unguided %.2fx\n",
-			wr.Workload.Name, wr.GuidedSpeedup4x, wr.UnguidedSpeedup4x)
-	}
-	if out != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", out)
-	}
+	fmt.Fprintf(os.Stderr, "gstm-loadgen: wrote %s\n", out)
 }
 
 func fatal(err error) {

@@ -88,17 +88,21 @@ func (cfg LoadConfig) normalize() LoadConfig {
 	return cfg
 }
 
-// RunStats is the outcome of one fixed-duration load run. Commits,
-// Aborts and AbortRatio are filled by BenchModes from server-side counter
-// deltas around the run; plain RunLoad leaves them zero.
+// RunStats is the outcome of one load run. Seq, Commits, Aborts and
+// AbortRatio are filled by the sweep harness (sweep.go): Seq is the run's
+// position in the sweep's interleaved order, the rest come from
+// server-side counter deltas around the run. Plain RunLoad leaves them
+// zero. The latency quantiles are absent for pipelined runs (Window > 1),
+// which record no latency.
 type RunStats struct {
+	Seq        int     `json:"seq"`
 	Ops        uint64  `json:"ops"`
 	Errors     uint64  `json:"errors"`
 	DurationS  float64 `json:"duration_s"`
 	Throughput float64 `json:"ops_per_s"`
-	P50us      float64 `json:"p50_us"`
-	P95us      float64 `json:"p95_us"`
-	P99us      float64 `json:"p99_us"`
+	P50us      float64 `json:"p50_us,omitempty"`
+	P95us      float64 `json:"p95_us,omitempty"`
+	P99us      float64 `json:"p99_us,omitempty"`
 	Commits    uint64  `json:"commits,omitempty"`
 	Aborts     uint64  `json:"aborts,omitempty"`
 	AbortRatio float64 `json:"abort_ratio,omitempty"`
@@ -201,6 +205,15 @@ func RunLoad(cfg LoadConfig) (RunStats, error) {
 	res.P95us = stats.Percentile(all, 95)
 	res.P99us = stats.Percentile(all, 99)
 	return res, nil
+}
+
+// Latency formats the run's latency quantiles, or says there are none:
+// pipelined runs record no per-op latency.
+func (st RunStats) Latency() string {
+	if st.P99us == 0 {
+		return "latency n/a (pipelined)"
+	}
+	return fmt.Sprintf("p50=%.1fus p95=%.1fus p99=%.1fus", st.P50us, st.P95us, st.P99us)
 }
 
 // connOut is one connection's contribution to a run.
@@ -445,248 +458,4 @@ func VerifyBalance(addr string, keys int) (int64, error) {
 		}
 	}
 	return sum, nil
-}
-
-// ModeReport aggregates R repeated runs in one serving mode. Variance is
-// reported as the coefficient of variation (σ/µ, in percent) of per-run
-// throughput and p95 latency — the paper's run-to-run variance metric
-// applied to service-level numbers.
-type ModeReport struct {
-	Mode            string     `json:"mode"`
-	Runs            []RunStats `json:"runs"`
-	ThroughputMean  float64    `json:"throughput_mean_ops_per_s"`
-	ThroughputCVPct float64    `json:"throughput_cv_pct"`
-	P50MeanUs       float64    `json:"p50_mean_us"`
-	P95MeanUs       float64    `json:"p95_mean_us"`
-	P99MeanUs       float64    `json:"p99_mean_us"`
-	P95CVPct        float64    `json:"p95_cv_pct"`
-	// AbortRatioMean and AbortRatioCVPct describe the per-run abort ratio
-	// (aborts / commits) and its run-to-run coefficient of variation.
-	AbortRatioMean  float64 `json:"abort_ratio_mean"`
-	AbortRatioCVPct float64 `json:"abort_ratio_cv_pct"`
-	// ConnSpreadMeanPct averages the per-run normalized spread of
-	// per-connection completion times (fixed-work mode only). It is the
-	// serving analogue of the paper's per-thread execution-time dispersion
-	// (Figures 4/6): every connection gets identical work, and machine
-	// speed is common within a run so it divides out — which makes this
-	// the headline variance metric on noisy shared hardware.
-	ConnSpreadMeanPct float64 `json:"conn_spread_mean_pct,omitempty"`
-	// RunTimeCVPct is the run-to-run CV of fixed-work completion time
-	// (fixed-work mode only).
-	RunTimeCVPct float64 `json:"run_time_cv_pct,omitempty"`
-	Commits      uint64  `json:"commits"`
-	Aborts       uint64  `json:"aborts"`
-	Batches      uint64  `json:"batches"`
-	BatchedOps   uint64  `json:"batched_ops"`
-}
-
-func summarize(mode string, runs []RunStats) ModeReport {
-	rep := ModeReport{Mode: mode, Runs: runs}
-	var tput, p50, p95, p99, ratio, spread, rtime []float64
-	for _, r := range runs {
-		tput = append(tput, r.Throughput)
-		p50 = append(p50, r.P50us)
-		p95 = append(p95, r.P95us)
-		p99 = append(p99, r.P99us)
-		ratio = append(ratio, r.AbortRatio)
-		spread = append(spread, r.ConnSpreadPct)
-		rtime = append(rtime, r.DurationS)
-	}
-	rep.ThroughputMean = stats.Mean(tput)
-	rep.ThroughputCVPct = 100 * stats.CoefficientOfVariation(tput)
-	rep.P50MeanUs = stats.Mean(p50)
-	rep.P95MeanUs = stats.Mean(p95)
-	rep.P99MeanUs = stats.Mean(p99)
-	rep.P95CVPct = 100 * stats.CoefficientOfVariation(p95)
-	rep.AbortRatioMean = stats.Mean(ratio)
-	rep.AbortRatioCVPct = 100 * stats.CoefficientOfVariation(ratio)
-	if rep.ConnSpreadMeanPct = stats.Mean(spread); rep.ConnSpreadMeanPct > 0 {
-		rep.RunTimeCVPct = 100 * stats.CoefficientOfVariation(rtime)
-	}
-	return rep
-}
-
-// BenchConfig parameterizes BenchModes.
-type BenchConfig struct {
-	Load LoadConfig
-	Runs int // fixed-duration runs per mode (R)
-	// GuideTimeout bounds how long the warmup load may take to flip the
-	// server into guided (or rejected) mode.
-	GuideTimeout time.Duration
-}
-
-// BenchReport is the full guided-vs-unguided serving comparison, written
-// to BENCH_server.json by cmd/gstm-loadgen.
-type BenchReport struct {
-	Description string     `json:"description"`
-	Config      LoadConfig `json:"config"`
-	RunsPerMode int        `json:"runs_per_mode"`
-	Unguided    ModeReport `json:"unguided"`
-	Guided      ModeReport `json:"guided"`
-	GuidedMode  string     `json:"guided_mode"` // guided | rejected | degraded
-	// VarianceReduced reports the acceptance condition: guided execution
-	// variance <= unguided. In fixed-work mode the variance metric is the
-	// per-connection completion-time spread (ConnSpreadMeanPct); in timed
-	// mode it is the run-to-run throughput CV.
-	VarianceReduced bool `json:"variance_reduced"`
-}
-
-// BenchModes runs the full comparison against a live server: warmup load
-// drives the profile→train→guide flip, then R pairs of runs alternate
-// CtlModeUnguided and CtlModeGuided so both modes sample the same
-// machine-noise window. One control connection handles mode changes and
-// counter deltas.
-func BenchModes(cfg BenchConfig) (BenchReport, error) {
-	cfg.Load = cfg.Load.normalize()
-	if cfg.Runs <= 0 {
-		cfg.Runs = 5
-	}
-	if cfg.GuideTimeout <= 0 {
-		cfg.GuideTimeout = 60 * time.Second
-	}
-	rep := BenchReport{
-		Description: "gstm-loadgen guided vs unguided serving comparison: R repeated runs per mode, alternating modes run by run so both sample the same machine-noise window. Fixed-work runs measure execution variance as the per-connection completion-time spread (the paper's per-thread dispersion); timed runs fall back to run-to-run throughput CV.",
-		Config:      cfg.Load,
-		RunsPerMode: cfg.Runs,
-	}
-
-	ctrl, err := Dial(cfg.Load.Addr)
-	if err != nil {
-		return rep, fmt.Errorf("control connection: %w", err)
-	}
-	defer ctrl.Close()
-
-	counters := func() (c, a, b, o uint64, err error) {
-		if c, err = ctrl.Info(InfoCommits); err != nil {
-			return
-		}
-		if a, err = ctrl.Info(InfoAborts); err != nil {
-			return
-		}
-		if b, err = ctrl.Info(InfoBatches); err != nil {
-			return
-		}
-		o, err = ctrl.Info(InfoBatchedOps)
-		return
-	}
-
-	// Phase 1: drive warmup load through the lifecycle until a model is
-	// trained and installed (or rejected).
-	if err := ctrl.Ctl(CtlModeAuto, 0); err != nil {
-		return rep, err
-	}
-	deadline := time.Now().Add(cfg.GuideTimeout)
-	for {
-		warm := cfg.Load
-		warm.Duration = 500 * time.Millisecond
-		if _, err := RunLoad(warm); err != nil {
-			return rep, fmt.Errorf("warmup: %w", err)
-		}
-		mode, err := ctrl.Info(InfoMode)
-		if err != nil {
-			return rep, err
-		}
-		if m := ServingMode(mode); m == ModeGuided || m == ModeRejected || m == ModeDegraded {
-			rep.GuidedMode = m.String()
-			break
-		}
-		if time.Now().After(deadline) {
-			return rep, fmt.Errorf("server did not leave profiling/training within %v", cfg.GuideTimeout)
-		}
-	}
-
-	// Phase 2: measure, alternating modes run by run. Pairing each
-	// unguided run with a guided run taken moments later means both mode
-	// samples see the same machine-noise window, so the CV comparison
-	// reflects the system, not drift in the environment. CtlModeGuided
-	// re-installs the already-trained model, so no re-profiling happens
-	// mid-measurement. When the model was rejected the "guided" side
-	// still serves unguided — the report labels it honestly.
-	guidedInstallable := rep.GuidedMode == ModeGuided.String() || rep.GuidedMode == ModeDegraded.String()
-	if err := ctrl.Ctl(CtlReset, 0); err != nil {
-		return rep, err
-	}
-	measure := func(seedOff uint64) (RunStats, error) {
-		c0, a0, _, _, err := counters()
-		if err != nil {
-			return RunStats{}, err
-		}
-		lc := cfg.Load
-		lc.Seed = cfg.Load.Seed + seedOff // same seed every run: measure the system's variance, not the workload's
-		st, err := RunLoad(lc)
-		if err != nil {
-			return RunStats{}, err
-		}
-		c1, a1, _, _, err := counters()
-		if err != nil {
-			return RunStats{}, err
-		}
-		st.Commits, st.Aborts = c1-c0, a1-a0
-		if st.Commits > 0 {
-			st.AbortRatio = float64(st.Aborts) / float64(st.Commits)
-		}
-		return st, nil
-	}
-	var unguidedRuns, guidedRuns []RunStats
-	var ubat, uops, gbat, gops uint64
-	for r := 0; r < cfg.Runs; r++ {
-		if err := ctrl.Ctl(CtlModeUnguided, 0); err != nil {
-			return rep, err
-		}
-		_, _, b0, o0, err := counters()
-		if err != nil {
-			return rep, err
-		}
-		st, err := measure(0)
-		if err != nil {
-			return rep, fmt.Errorf("unguided run %d: %w", r, err)
-		}
-		_, _, b1, o1, err := counters()
-		if err != nil {
-			return rep, err
-		}
-		ubat += b1 - b0
-		uops += o1 - o0
-		unguidedRuns = append(unguidedRuns, st)
-
-		if guidedInstallable {
-			if err := ctrl.Ctl(CtlModeGuided, 0); err != nil {
-				return rep, err
-			}
-		}
-		_, _, b0, o0, err = counters()
-		if err != nil {
-			return rep, err
-		}
-		st, err = measure(1)
-		if err != nil {
-			return rep, fmt.Errorf("%s run %d: %w", rep.GuidedMode, r, err)
-		}
-		_, _, b1, o1, err = counters()
-		if err != nil {
-			return rep, err
-		}
-		gbat += b1 - b0
-		gops += o1 - o0
-		guidedRuns = append(guidedRuns, st)
-	}
-
-	rep.Unguided = summarize("unguided", unguidedRuns)
-	rep.Guided = summarize(rep.GuidedMode, guidedRuns)
-	rep.Unguided.Batches, rep.Unguided.BatchedOps = ubat, uops
-	rep.Guided.Batches, rep.Guided.BatchedOps = gbat, gops
-	for _, r := range unguidedRuns {
-		rep.Unguided.Commits += r.Commits
-		rep.Unguided.Aborts += r.Aborts
-	}
-	for _, r := range guidedRuns {
-		rep.Guided.Commits += r.Commits
-		rep.Guided.Aborts += r.Aborts
-	}
-	if cfg.Load.OpsPerConn > 0 {
-		rep.VarianceReduced = rep.Guided.ConnSpreadMeanPct <= rep.Unguided.ConnSpreadMeanPct
-	} else {
-		rep.VarianceReduced = rep.Guided.ThroughputCVPct <= rep.Unguided.ThroughputCVPct
-	}
-	return rep, nil
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -68,6 +70,40 @@ func TestRunLoadPipelinedFixedWork(t *testing.T) {
 	}
 }
 
+// TestRunLoadPipelinedNoLatency: a pipelined run records no per-op
+// latency, so it must report none rather than zeros — no p*_us fields in
+// its JSON and "n/a" in its printed form — while a synchronous run keeps
+// them.
+func TestRunLoadPipelinedNoLatency(t *testing.T) {
+	s := startServer(t, Config{Workers: 2, Unguided: true})
+	load := LoadConfig{Addr: s.Addr().String(), Conns: 2, Window: 8, OpsPerConn: 200, Keys: 32}
+	st, err := RunLoad(load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.P50us != 0 || st.P95us != 0 || st.P99us != 0 {
+		t.Fatalf("pipelined run reported latency: %+v", st)
+	}
+	if got := st.Latency(); got != "latency n/a (pipelined)" {
+		t.Fatalf("Latency() = %q", got)
+	}
+	buf, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(buf), "_us") {
+		t.Fatalf("pipelined RunStats JSON carries latency fields: %s", buf)
+	}
+
+	load.Window = 0
+	if st, err = RunLoad(load); err != nil {
+		t.Fatal(err)
+	}
+	if buf, _ = json.Marshal(st); !strings.Contains(string(buf), `"p99_us"`) || !strings.HasPrefix(st.Latency(), "p50=") {
+		t.Fatalf("synchronous run lost its latency: %s / %q", buf, st.Latency())
+	}
+}
+
 // TestBenchModesEndToEnd drives the whole comparison pipeline against a
 // small server: warmup through the lifecycle flip, then alternating
 // unguided/guided pairs via CtlModeGuided, producing a complete report.
@@ -78,16 +114,12 @@ func TestBenchModesEndToEnd(t *testing.T) {
 		ProfileSlices: 2,
 		ForceGuidance: true,
 	})
-	rep, err := BenchModes(BenchConfig{
-		Load: LoadConfig{
-			Addr:       s.Addr().String(),
-			Conns:      4,
-			OpsPerConn: 200,
-			Keys:       32,
-		},
-		Runs:         2,
-		GuideTimeout: 30 * time.Second,
-	})
+	rep, err := SweepModes(LoadConfig{
+		Addr:       s.Addr().String(),
+		Conns:      4,
+		OpsPerConn: 200,
+		Keys:       32,
+	}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +129,7 @@ func TestBenchModesEndToEnd(t *testing.T) {
 	if len(rep.Unguided.Runs) != 2 || len(rep.Guided.Runs) != 2 {
 		t.Fatalf("runs: unguided %d guided %d, want 2 each", len(rep.Unguided.Runs), len(rep.Guided.Runs))
 	}
-	for _, m := range []ModeReport{rep.Unguided, rep.Guided} {
+	for _, m := range []Record{rep.Unguided, rep.Guided} {
 		if m.Commits == 0 {
 			t.Fatalf("%s: no commits recorded", m.Mode)
 		}

@@ -18,19 +18,19 @@
 // bursts both longer and shorter than a run — and the kernel's
 // per-process CPU clock is too coarse (scheduler-tick resolution) to
 // resolve the deltas under test, so slice interleaving is what actually
-// isolates protocol cost. It backs cmd/gstm-loadgen's -speed-bench flag,
-// which writes the report as BENCH_speed.json.
+// isolates protocol cost. It backs cmd/gstm-loadgen's -sweep speed, which
+// writes the report as BENCH_speed.json.
 package speedbench
 
 import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gstm/internal/stats"
 	"gstm/internal/tl2"
 	"gstm/internal/txid"
 )
@@ -134,9 +134,10 @@ type Point struct {
 
 // Report is the full sweep, written to BENCH_speed.json.
 type Report struct {
-	Description string  `json:"description"`
-	Config      Config  `json:"config"`
-	Points      []Point `json:"points"`
+	Description string    `json:"description"`
+	Env         stats.Env `json:"environment"` // taken before the sweep moves GOMAXPROCS
+	Config      Config    `json:"config"`
+	Points      []Point   `json:"points"`
 
 	// Speedups holds, per (workload, cores) cell, the striped-over-
 	// per-location ratio: the median over rounds of (per-location elapsed
@@ -170,6 +171,7 @@ func Run(cfg Config) Report {
 	cfg = cfg.normalize()
 	rep := Report{
 		Description: "Engine hot-path sweep: unboxed slot protocol over per-location lock words vs the same protocol over the striped lock table, across GOMAXPROCS and workload mixes. Fixed transactional work per point; every transaction performs 32 accesses so per-access protocol cost, not the engine-identical commit sequence, dominates; mixed is a Synchrobench-style 10% update ratio (90% read-only transactions, 10% of 31 reads + 1 write). Speedups are medians over rounds of per-round elapsed-time ratios with both engines executing as fine-grained interleaved slices (ABBA order) inside the same noise window, so machine noise longer than a slice divides out. Counters are summed over rounds.",
+		Env:         stats.Environment(),
 		Config:      cfg,
 	}
 	engines := []string{EngineUnboxed, EngineStriped}
@@ -210,7 +212,7 @@ func Run(cfg Config) Report {
 		for _, eng := range engines {
 			for _, wl := range workloads {
 				pt := points[[3]string{eng, wl, fmt.Sprint(cores)}]
-				pt.OpsPerSec = median(pt.Runs)
+				pt.OpsPerSec = stats.Median(pt.Runs)
 				rep.Points = append(rep.Points, *pt)
 				if cfg.Progress != nil {
 					fmt.Fprintf(cfg.Progress, "%-16s %-11s cores=%d  %10.0f ops/s  commits %d aborts %d collisions %d\n",
@@ -224,7 +226,7 @@ func Run(cfg Config) Report {
 	for _, cores := range cfg.Cores {
 		for _, wl := range workloads {
 			rr := ratios[[2]string{wl, fmt.Sprint(cores)}]
-			sp := Speedup{Workload: wl, Cores: cores, Ratio: median(rr), RunRatios: rr}
+			sp := Speedup{Workload: wl, Cores: cores, Ratio: stats.Median(rr), RunRatios: rr}
 			rep.Speedups = append(rep.Speedups, sp)
 			if (wl == WorkloadReadOnly || wl == WorkloadMixed) && sp.Ratio < stripedFloor {
 				rep.StripedWithinBound = false
@@ -445,17 +447,4 @@ func worker(rt *tl2.Runtime, arr *tl2.Array[int64], workload string, w int, cfg 
 		}
 	}
 	sink.Store(total)
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
 }

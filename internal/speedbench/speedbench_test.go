@@ -5,7 +5,7 @@ import "testing"
 // TestRunShape runs a miniature sweep and checks the report's structure:
 // every (engine, workload, cores) cell present with fixed-work-consistent
 // counters, every speedup cell carrying one ratio per round. The real
-// numbers come from cmd/gstm-loadgen -speed-bench; this keeps the
+// numbers come from cmd/gstm-loadgen -sweep speed; this keeps the
 // harness itself race-clean and honest.
 func TestRunShape(t *testing.T) {
 	cfg := Config{

@@ -1,7 +1,9 @@
 // Package stats provides the statistical measures used throughout the GSTM
 // experiments: sample standard deviation and variance of execution times,
 // abort-count histograms and their tail metric, the distinct-state count
-// used as the non-determinism measure, and percentage-change helpers.
+// used as the non-determinism measure, percentage-change helpers, and the
+// median-and-quartiles spread and environment block every BENCH record
+// carries.
 //
 // All definitions follow Section II-B of the paper:
 //
@@ -16,6 +18,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 )
 
@@ -101,6 +104,37 @@ func Median(xs []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+// Quartiles is a sample's median with its lower and upper hinges: the
+// spread a BENCH record reports beside each median.
+type Quartiles struct {
+	Q1     float64 `json:"q1"`
+	Median float64 `json:"median"`
+	Q3     float64 `json:"q3"`
+}
+
+// QuartilesOf returns the median of xs and Tukey's hinges: the medians
+// of its lower and upper halves, an odd sample's middle value belonging
+// to both. An empty slice is all zeros. The input slice is not modified.
+func QuartilesOf(xs []float64) Quartiles {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	n := len(cp)
+	return Quartiles{Q1: Median(cp[:(n+1)/2]), Median: Median(cp), Q3: Median(cp[n/2:])}
+}
+
+// Env is the environment block every BENCH report carries, so two reports
+// can be checked for comparability before their numbers are.
+type Env struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+}
+
+// Environment describes the running process.
+func Environment() Env {
+	return Env{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 }
 
 // PercentChange returns the percentage change from base to next:

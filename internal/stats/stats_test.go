@@ -173,3 +173,34 @@ func TestCoefficientOfVariation(t *testing.T) {
 		t.Fatal("degenerate CV should be 0")
 	}
 }
+
+func TestQuartilesOf(t *testing.T) {
+	cases := []struct {
+		in   []float64
+		want Quartiles
+	}{
+		{nil, Quartiles{}},
+		{[]float64{7}, Quartiles{7, 7, 7}},
+		{[]float64{3, 1}, Quartiles{1, 2, 3}},
+		{[]float64{4, 1, 3, 2}, Quartiles{1.5, 2.5, 3.5}},
+		// Odd n: the median belongs to both halves.
+		{[]float64{5, 1, 4, 2, 3}, Quartiles{2, 3, 4}},
+		{[]float64{9, 1, 8, 2, 7, 3, 6}, Quartiles{2.5, 6, 7.5}},
+		{[]float64{2, 2, 2}, Quartiles{2, 2, 2}},
+	}
+	for _, c := range cases {
+		in := append([]float64(nil), c.in...)
+		got := QuartilesOf(in)
+		if !almostEqual(got.Q1, c.want.Q1) || !almostEqual(got.Median, c.want.Median) || !almostEqual(got.Q3, c.want.Q3) {
+			t.Errorf("QuartilesOf(%v) = %+v, want %+v", c.in, got, c.want)
+		}
+		if got.Median != Median(c.in) {
+			t.Errorf("QuartilesOf(%v).Median = %v, Median = %v", c.in, got.Median, Median(c.in))
+		}
+		for i := range in {
+			if in[i] != c.in[i] {
+				t.Fatalf("QuartilesOf modified its input: %v", in)
+			}
+		}
+	}
+}
