@@ -11,15 +11,16 @@ import (
 // captures each touched shard's record seq, hands the batch to the
 // server's acker goroutine, and immediately starts its next batch. The
 // acker waits for the seqs per the durability mode, performs the
-// post-commit accounting, and writes the client responses. Decoupling the
-// wait from the worker lets group commit batch adaptively: while one
-// flush is in flight the workers keep appending, so the next write(2)
-// carries everything that accumulated, instead of each worker stalling
-// for one flush cycle per batch.
+// post-commit accounting, and queues the client responses on their
+// connections' writers. Decoupling the wait from the worker lets group
+// commit batch adaptively: while one flush is in flight the workers keep
+// appending, so the next write(2) carries everything that accumulated,
+// instead of each worker stalling for one flush cycle per batch.
 //
 // Reordering this introduces is invisible to clients: responses carry
-// request IDs and per-connection ordering across workers was never
-// guaranteed (requests round-robin over the pool).
+// request IDs, and per-connection ordering across workers was never
+// guaranteed (each client burst goes to the next worker round-robin; see
+// dispatch).
 
 // ackWait is one shard sub-transaction's durability obligation, with its
 // post-ack accounting precomputed (nops operations, delta live-key
@@ -84,7 +85,7 @@ func (s *Server) ackLoop() {
 
 // finishDurable settles one durable batch: wait out each shard's
 // obligation, demote a failed shard's operations to StatusUnavailable,
-// account the survivors, write the responses, release the in-flight
+// account the survivors, queue the responses, release the in-flight
 // slots.
 func (s *Server) finishDurable(it *ackItem, resp []byte) []byte {
 	for wi := range it.waits {
@@ -122,9 +123,7 @@ func (s *Server) finishDurable(it *ackItem, resp []byte) []byte {
 	}
 
 	resp = writeResponses(it.tasks, it.results, resp)
-	for range it.tasks {
-		s.inflight.Done()
-	}
+	s.inflight.Add(-len(it.tasks))
 	s.ackPool.Put(it)
 	return resp
 }

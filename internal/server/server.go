@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime/pprof"
 	"strconv"
@@ -53,7 +51,10 @@ type Config struct {
 	Buckets int
 
 	// QueueDepth is the per-worker request queue depth (default 256).
-	// Full queues apply backpressure to connection readers.
+	// Full queues apply backpressure to connection readers. It also bounds
+	// each connection's unsent responses at QueueDepth×Workers, as many as
+	// the queues can hold: a connection owed that many is not read from
+	// until its writer catches up (see conn.go).
 	QueueDepth int
 
 	// ProfileOps is how many committed operations one profiling slice
@@ -183,7 +184,7 @@ type Server struct {
 	ln     net.Listener
 
 	workers []*worker
-	rr      atomic.Uint32 // round-robin dispatch cursor
+	rr      atomic.Uint32 // round-robin dispatch cursor, advanced per burst
 
 	// wals[s] is shard s's write-ahead log (nil slice when durability is
 	// off); warmed[s] records that recovery already installed a guided
@@ -199,10 +200,13 @@ type Server struct {
 	ackOnce sync.Once
 	ackPool sync.Pool
 
-	// inflight tracks accepted data operations from enqueue to response
-	// write; Shutdown drains it.
-	inflight sync.WaitGroup
+	// inflight counts admitted operations from dispatch to queued
+	// response; Shutdown drains it. admitMu orders every inflight.Add
+	// before the drain's Wait: admit adds under the read lock only while
+	// draining is unset, and beginDrain sets it under the write lock.
+	admitMu  sync.RWMutex
 	draining atomic.Bool
+	inflight sync.WaitGroup
 	stop     chan struct{} // closed after drain: workers exit
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -216,7 +220,10 @@ type Server struct {
 	watchCancel context.CancelFunc
 
 	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[*conn]struct{}
+	// evictions counts connections evicted for leaving their responses
+	// unread (gstm_conn_evictions_total).
+	evictions atomic.Uint64
 
 	// liveKeys approximates the store's cardinality from acknowledged
 	// creates minus deletes (exact under this protocol: every mutation is
@@ -249,7 +256,7 @@ func New(cfg Config) *Server {
 			LockStripes: cfg.LockStripes,
 		}),
 		stop:  make(chan struct{}),
-		conns: make(map[net.Conn]struct{}),
+		conns: make(map[*conn]struct{}),
 		obs: obs.New(obs.Config{
 			Shards: cfg.Shards,
 			// One ring per worker and per role, so role spans land in their
@@ -348,10 +355,11 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// registerGauges hooks the server's point-in-time depths into the
-// process-wide telemetry registry: each shard WAL's unflushed queue depth
-// and the acker's backlog of durable batches awaiting their flush. They
-// appear on /metrics until dropGauges (Shutdown/Crash) unhooks them.
+// registerGauges hooks the server's point-in-time readings into the
+// process-wide telemetry registry: each shard WAL's unflushed queue depth,
+// the acker's backlog of durable batches awaiting their flush, and the
+// connection eviction count. They appear on /metrics until dropGauges
+// (Shutdown/Crash) unhooks them.
 func (s *Server) registerGauges() {
 	label := func(i int) string {
 		if s.cfg.Shards > 1 {
@@ -373,6 +381,8 @@ func (s *Server) registerGauges() {
 			"gstm_acker_backlog", "server",
 			func() float64 { return float64(len(s.acks)) }))
 	}
+	s.unregGauges = append(s.unregGauges, telemetry.RegisterCounter(
+		"gstm_conn_evictions_total", "server", s.evictions.Load))
 }
 
 // dropGauges unhooks everything registerGauges registered; idempotent, so
@@ -392,113 +402,22 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed: shutting down
 		}
+		c := s.newConn(nc)
 		s.connMu.Lock()
 		if s.draining.Load() {
 			s.connMu.Unlock()
 			_ = nc.Close()
 			continue
 		}
-		s.conns[nc] = struct{}{}
+		s.conns[c] = struct{}{}
 		s.connMu.Unlock()
-		s.wg.Add(1)
-		go func() { defer s.wg.Done(); s.serveConn(nc) }()
-	}
-}
-
-// conn wraps a client connection with a write lock so workers and the
-// reader can interleave response frames safely.
-type conn struct {
-	nc  net.Conn
-	wmu sync.Mutex
-}
-
-func (c *conn) writeFrames(buf []byte) {
-	c.wmu.Lock()
-	_, _ = c.nc.Write(buf) // write errors surface as reader EOF/close
-	c.wmu.Unlock()
-}
-
-func (s *Server) serveConn(nc net.Conn) {
-	c := &conn{nc: nc}
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, nc)
-		s.connMu.Unlock()
-		_ = nc.Close()
-	}()
-
-	br := bufio.NewReaderSize(nc, 64*ReqFrameLen)
-	var hdr [4]byte
-	var payload [MaxFrame]byte
-	var respBuf []byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return // EOF or forced close
-		}
-		// The span's decode phase starts here: the frame header has
-		// arrived, so everything until dispatch is the server's own work
-		// (payload read off the bufio buffer, decode, routing).
-		dec0 := time.Now()
-		n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
-		if n == 0 || n > MaxFrame {
-			return // stream out of sync: drop the connection
-		}
-		if _, err := io.ReadFull(br, payload[:n]); err != nil {
-			return
-		}
-		var req Request
-		var ops []TxnOp
-		var err error
-		if Op(payload[0]&^TraceBit) == OpTxn {
-			// The protocol's only variable-length request. The sub-op slice
-			// is freshly allocated per transaction — it must outlive this
-			// reusable payload buffer.
-			req, ops, err = DecodeTxnRequest(payload[:n], nil)
-		} else {
-			req, err = DecodeRequest(payload[:n])
-		}
-		if err != nil {
-			return // undecodable: cannot trust framing anymore
-		}
-
-		switch req.Op {
-		case OpCtl, OpInfo:
-			respBuf = AppendResponse(respBuf[:0], s.handleControl(req))
-			c.writeFrames(respBuf)
-		case OpWatch, OpWaitKey:
-			// Long-polls bypass the worker queue: each gets its own
-			// goroutine that parks inside a blocking transaction, so a
-			// thousand idle watches occupy zero workers. A watch arriving
-			// mid-drain is refused before it can park.
-			s.inflight.Add(1)
-			if s.draining.Load() {
-				s.inflight.Done()
-				respBuf = AppendResponse(respBuf[:0], Response{ID: req.ID, Status: StatusWouldBlock})
-				c.writeFrames(respBuf)
-				continue
-			}
-			s.wg.Add(1)
-			go func(req Request) {
-				defer s.wg.Done()
-				s.serveWatch(req, c)
-			}(req)
-		default:
-			s.inflight.Add(1)
-			if s.draining.Load() {
-				s.inflight.Done()
-				respBuf = AppendResponse(respBuf[:0], Response{ID: req.ID, Status: StatusShutdown})
-				c.writeFrames(respBuf)
-				continue
-			}
-			w := s.workers[int(s.rr.Add(1))%len(s.workers)]
-			enq := time.Now()
-			select {
-			case w.queue <- task{req: req, ops: ops, c: c, enq: enq.UnixNano(), decNs: enq.Sub(dec0).Nanoseconds()}:
-			case <-s.stop:
-				s.inflight.Done()
-				return
-			}
-		}
+		s.wg.Add(2)
+		go func() { defer s.wg.Done(); s.serveConn(c) }()
+		go func() {
+			defer s.wg.Done()
+			pprof.Do(context.Background(), pprof.Labels("gstm", "server-writer"),
+				func(context.Context) { s.writeLoop(c) })
+		}()
 	}
 }
 
@@ -639,12 +558,13 @@ func (s *Server) RejectReason() string {
 }
 
 // Shutdown drains the server: the listener closes immediately, queued and
-// in-flight operations finish and their responses are written, then the
-// workers stop and every connection is closed. New data operations
-// arriving mid-drain are answered with StatusShutdown. ctx bounds the
-// drain; on expiry remaining work is abandoned and ctx.Err() returned.
+// in-flight operations finish and their responses are queued, then the
+// workers stop and every connection's writer flushes and closes it. New
+// data operations arriving mid-drain are answered with StatusShutdown. ctx
+// bounds the drain; on expiry remaining work is abandoned and ctx.Err()
+// returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	s.beginDrain()
 	// Wake every parked watch before waiting on inflight: a long-poll whose
 	// key never changes would otherwise hold the drain open forever.
 	s.watchCancel()
@@ -661,11 +581,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 
 	s.stopOnce.Do(func() { close(s.stop) })
-	s.connMu.Lock()
-	for nc := range s.conns {
-		_ = nc.Close()
-	}
-	s.connMu.Unlock()
+	s.closeConns()
 
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
@@ -684,6 +600,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// the process. Closing the WALs releases anything it still waits on.
 		return errors.Join(err, s.closeWALs(), fmt.Errorf("server: shutdown wait: %w", ctx.Err()))
 	}
+}
+
+// admit takes k inflight slots, or reports false once the drain has begun.
+func (s *Server) admit(k int) bool {
+	s.admitMu.RLock()
+	defer s.admitMu.RUnlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(k)
+	return true
+}
+
+// beginDrain stops admission: no inflight.Add follows it.
+func (s *Server) beginDrain() {
+	s.admitMu.Lock()
+	s.draining.Store(true)
+	s.admitMu.Unlock()
 }
 
 // closeWALs flushes and closes every shard's log (nil-safe, idempotent).
@@ -709,9 +643,14 @@ func (s *Server) Close() error {
 // kill-and-recover chaos tests: no drain, no final WAL fsync. Queued and
 // in-flight operations are abandoned; each shard's log keeps exactly what
 // was already written — which covers every acked record — and loses its
-// staged buffer. The store's in-memory state is discarded with the Server.
+// staged buffer. Responses already queued on a connection's writer are
+// still flushed before it closes, as a killed process's socket buffers
+// still reach the client; each one was acked by the log or reports its
+// failure. A writer stuck on a client that does not read holds Crash up
+// to its write deadline. The store's in-memory state is discarded with
+// the Server.
 func (s *Server) Crash() {
-	s.draining.Store(true)
+	s.beginDrain()
 	s.watchCancel() // parked watch goroutines must exit before wg.Wait
 	s.dropGauges()
 	if s.ln != nil {
@@ -726,11 +665,17 @@ func (s *Server) Crash() {
 			l.Crash()
 		}
 	}
-	s.connMu.Lock()
-	for nc := range s.conns {
-		_ = nc.Close()
-	}
-	s.connMu.Unlock()
+	s.closeConns()
 	s.wg.Wait()
 	s.stopAcker()
+}
+
+// closeConns has every connection's writer flush what is already queued
+// and close the socket, which also ends its reader.
+func (s *Server) closeConns() {
+	s.connMu.Lock()
+	for c := range s.conns {
+		c.close()
+	}
+	s.connMu.Unlock()
 }

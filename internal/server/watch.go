@@ -26,8 +26,9 @@ import (
 // StatusShutdown; a watch arriving while draining is refused with
 // StatusWouldBlock without ever parking (see serveConn).
 
-// serveWatch runs one OpWatch/OpWaitKey long-poll to completion and writes
-// its response. Called on a dedicated goroutine holding one inflight slot.
+// serveWatch runs one OpWatch/OpWaitKey long-poll to completion and queues
+// its response on the connection's writer. Called on a dedicated goroutine
+// holding one inflight slot.
 func (s *Server) serveWatch(req Request, c *conn) {
 	defer s.inflight.Done()
 	sh := s.router.HomeOf(req.Key)

@@ -53,12 +53,15 @@ func site(op Op) gstm.TxnID {
 // reader's span timestamps: when the task was queued (unix nanos) and how
 // long the frame read + decode took, so the worker can reconstruct the
 // request's decode and queue-wait phases without another clock read.
+// follow ties the task to its client burst (see dispatch): the first task
+// carries how many more of the burst follow it, each follower carries -1.
 type task struct {
-	req   Request
-	ops   []TxnOp
-	c     *conn
-	enq   int64
-	decNs int64
+	req    Request
+	ops    []TxnOp
+	c      *conn
+	enq    int64
+	decNs  int64
+	follow int32
 }
 
 // opResult is one operation's outcome, filled inside the batch
@@ -83,6 +86,9 @@ type worker struct {
 
 	pending    task // holdover that closed the previous batch
 	hasPending bool
+	// owed is how many tasks of bursts already begun in this queue have
+	// not arrived yet; while it is positive the batch waits for them.
+	owed int32
 
 	batch   []task
 	results []opResult
@@ -97,6 +103,9 @@ type worker struct {
 	// retains spans by value, so the record path never allocates.
 	spans    []obs.Span
 	spanOpts [][]gstm.TxOption
+	// planOpt hands each shard's Run its spanOpts; built once, since a
+	// closure built per batch would allocate.
+	planOpt shard.PlanOption
 
 	// stgs[sh] is shard sh's WAL redo staging for the running transaction;
 	// valid only while logging is true (durable server, mutating batch).
@@ -122,6 +131,7 @@ func newWorker(s *Server, id int) *worker {
 	for sh := range w.spanOpts {
 		w.spanOpts[sh] = []gstm.TxOption{gstm.WithMaxAttempts(0), gstm.WithSpan(&w.spans[sh])}
 	}
+	w.planOpt = shard.WithShardOptions(func(sh int) []gstm.TxOption { return w.spanOpts[sh] })
 	return w
 }
 
@@ -141,9 +151,11 @@ func (w *worker) loop() {
 }
 
 // fillBatch blocks for the first operation (the holdover from the last
-// round, if any), then greedily drains already-queued operations into the
-// batch while they share the first one's kind and touch pairwise-disjoint
-// keys. The first operation violating either rule is held over — never
+// round, if any), then drains queued operations into the batch while they
+// share the first one's kind and touch pairwise-disjoint keys. It waits
+// for the rest of a client burst that has begun arriving (owed), so one
+// burst becomes one batch; otherwise it takes only what is already queued.
+// The first operation violating either rule is held over — never
 // reordered past, so per-connection request order is preserved within a
 // worker. An OpTxn never coalesces: it closes a running batch as the
 // holdover and is always a batch of one. Returns false when the server
@@ -156,6 +168,7 @@ func (w *worker) fillBatch() bool {
 	} else {
 		select {
 		case t := <-w.queue:
+			w.owed += t.follow
 			w.batch = append(w.batch, t)
 		case <-w.srv.stop:
 			return false
@@ -163,16 +176,26 @@ func (w *worker) fillBatch() bool {
 	}
 	kind := w.batch[0].req.Op
 	for kind != OpTxn && len(w.batch) < w.srv.cfg.Batch {
+		var t task
 		select {
-		case t := <-w.queue:
-			if t.req.Op != kind || w.batchHasKey(t.req.Key) {
-				w.pending, w.hasPending = t, true
+		case t = <-w.queue:
+		default:
+			if w.owed == 0 {
 				return true
 			}
-			w.batch = append(w.batch, t)
-		default:
+			// The rest of the burst is decoded and being queued now.
+			select {
+			case t = <-w.queue:
+			case <-w.srv.stop:
+				return true
+			}
+		}
+		w.owed += t.follow
+		if t.req.Op != kind || w.batchHasKey(t.req.Key) {
+			w.pending, w.hasPending = t, true
 			return true
 		}
+		w.batch = append(w.batch, t)
 	}
 	return true
 }
@@ -236,7 +259,7 @@ func (w *worker) execBatch() *ackItem {
 			w.results[i] = w.applyOp(tx, sh, r.Op, r.Key, r.Arg)
 		}
 		return nil
-	}, shard.WithShardOptions(func(sh int) []gstm.TxOption { return w.spanOpts[sh] }))
+	}, w.planOpt)
 
 	var it *ackItem
 	if durable {
@@ -389,9 +412,9 @@ func (w *worker) execTxn() *ackItem {
 }
 
 // reply delivers the batch's results. A durable batch goes to the acker
-// (as copies: these slices are reused by the next batch), which writes
+// (as copies: these slices are reused by the next batch), which queues
 // the responses and releases inflight once the WAL obligations are met;
-// otherwise the responses are written here.
+// otherwise the responses are queued here.
 func (w *worker) reply(it *ackItem) {
 	s := w.srv
 	if it != nil {
@@ -401,14 +424,13 @@ func (w *worker) reply(it *ackItem) {
 		return
 	}
 	w.resp = writeResponses(w.batch, w.results, w.resp)
-	for range w.batch {
-		s.inflight.Done()
-	}
+	s.inflight.Add(-len(w.batch))
 }
 
-// writeResponses writes results[i] for every task, coalescing consecutive
-// same-connection frames into one buffer (and one syscall) each; buf is
-// scratch, returned for reuse.
+// writeResponses queues results[i] for every task on its connection's
+// writer, coalescing consecutive same-connection frames into one
+// writeFrames call; no syscall happens here. buf is scratch, returned for
+// reuse.
 func writeResponses(tasks []task, results []opResult, buf []byte) []byte {
 	i := 0
 	for i < len(tasks) {

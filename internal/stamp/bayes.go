@@ -3,6 +3,7 @@ package stamp
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"gstm"
@@ -58,6 +59,12 @@ type bayesInstance struct {
 	work      *stmds.Queue[bayesCandidate]
 	nCands    int
 	maxParent int32
+
+	// overlap, when set (tests), holds every thread's first evaluation
+	// transaction, on its first attempt, until all threads have read the
+	// shared counters: the first to commit then invalidates the others,
+	// so contention happens by construction rather than by schedule.
+	overlap *sync.WaitGroup
 }
 
 // NewInstance implements Workload.
@@ -180,6 +187,7 @@ func (in *bayesInstance) reachable(tx *gstm.Tx, src, dst int32) bool {
 func (in *bayesInstance) Run(sys *gstm.System) ([]time.Duration, error) {
 	return RunThreads(in.threads, func(t int) error {
 		id := gstm.ThreadID(t)
+		first := in.overlap != nil
 		for {
 			var cand bayesCandidate
 			var got bool
@@ -194,6 +202,11 @@ func (in *bayesInstance) Run(sys *gstm.System) ([]time.Duration, error) {
 			}
 			if err := sys.Run(nil, id, 1, func(tx *gstm.Tx) error {
 				gstm.Write(tx, in.evaluated, gstm.Read(tx, in.evaluated)+1)
+				if first {
+					first = false
+					in.overlap.Done()
+					in.overlap.Wait()
+				}
 				idx := int(cand.From)*in.nVars + int(cand.To)
 				if gstm.ReadAt(tx, in.adj, idx) {
 					return nil // already present

@@ -2,6 +2,7 @@ package stamp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"gstm"
@@ -239,13 +240,18 @@ func TestBayesRunsAndLearnsAcyclicGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Line the threads' first evaluations up so they overlap whatever the
+	// scheduler does: under a loaded test run one thread could otherwise
+	// drain the whole work queue before the others start.
+	b := inst.(*bayesInstance)
+	b.overlap = new(sync.WaitGroup)
+	b.overlap.Add(4)
 	if _, err := inst.Run(sys); err != nil {
 		t.Fatal(err)
 	}
 	if err := inst.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
-	b := inst.(*bayesInstance)
 	if b.inserted.Peek() == 0 {
 		t.Fatal("no edges learned; scoring path untested")
 	}

@@ -75,7 +75,11 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		written := map[string]bool{}
 		for _, g := range s.Gauges {
 			if !written[g.Name] {
-				fmt.Fprintf(bw, "# TYPE %s gauge\n", g.Name)
+				typ := "gauge"
+				if g.Counter {
+					typ = "counter"
+				}
+				fmt.Fprintf(bw, "# TYPE %s %s\n", g.Name, typ)
 				written[g.Name] = true
 			}
 			if g.Component != "" {

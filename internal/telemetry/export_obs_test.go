@@ -92,3 +92,21 @@ func TestWritePrometheusGaugesAndBuildInfo(t *testing.T) {
 		t.Errorf("unrelated gauge vanished with the unregistered one:\n%s", buf.String())
 	}
 }
+
+func TestWritePrometheusRegisteredCounter(t *testing.T) {
+	var n uint64 = 2
+	unreg := RegisterCounter("gstm_conn_evictions_total", "server", func() uint64 { return n })
+	defer unreg()
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, Gather()); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE gstm_conn_evictions_total counter",
+		`gstm_conn_evictions_total{component="server"} 2`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q\n--- got ---\n%s", want, buf.String())
+		}
+	}
+}
