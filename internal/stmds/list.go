@@ -5,49 +5,49 @@
 // (list.c, hashtable.c, rbtree.c, queue.c, heap.c).
 //
 // Every structure is manipulated inside a *tl2.Tx; all mutable fields are
-// tl2.Var cells, so conflicts are detected at the same granularity as the
-// original benchmarks (per node / per bucket).
+// tl2 cells, so conflicts are detected at the same granularity as the
+// original benchmarks (per node / per bucket). Links are tl2.Ptr cells and
+// nodes embed their cells by value, so following a link is one dependent
+// load: the node, whose next cell's slot is the successor itself.
 package stmds
 
 import "gstm/internal/tl2"
 
-// listNode is a sorted-list node. Key is immutable after insertion; Val and
-// Next are transactional.
+// listNode is a sorted-list node. Key is immutable after insertion; next
+// and val are transactional cells embedded in the node, each with its own
+// lock word, and are initialised before the node is linked in.
 type listNode[V any] struct {
 	key  int64
-	val  *tl2.Var[V]
-	next *tl2.Var[*listNode[V]]
+	next tl2.Ptr[listNode[V]]
+	val  tl2.Var[V]
 }
 
 // List is a sorted singly-linked list mapping int64 keys to values, the
 // analogue of STAMP's list.c. Duplicate keys are rejected by Insert.
 type List[V any] struct {
-	head *tl2.Var[*listNode[V]] // sentinel-free: head points at first node
+	head tl2.Ptr[listNode[V]] // sentinel-free: head points at first node
 	size *tl2.Var[int]
 }
 
 // NewList returns an empty list.
 func NewList[V any]() *List[V] {
-	return &List[V]{
-		head: tl2.NewVar[*listNode[V]](nil),
-		size: tl2.NewVar(0),
-	}
+	return &List[V]{size: tl2.NewVar(0)}
 }
 
 // find returns the node with key k and its predecessor's next-cell
 // (the head cell when the node would be first). node is nil when absent, in
 // which case prev is where a new node must be linked.
-func (l *List[V]) find(tx *tl2.Tx, k int64) (prev *tl2.Var[*listNode[V]], node *listNode[V]) {
-	prev = l.head
+func (l *List[V]) find(tx *tl2.Tx, k int64) (prev *tl2.Ptr[listNode[V]], node *listNode[V]) {
+	prev = &l.head
 	for {
-		n := tl2.Read(tx, prev)
+		n := tl2.ReadPtr(tx, prev)
 		if n == nil || n.key > k {
 			return prev, nil
 		}
 		if n.key == k {
 			return prev, n
 		}
-		prev = n.next
+		prev = &n.next
 	}
 }
 
@@ -58,13 +58,10 @@ func (l *List[V]) Insert(tx *tl2.Tx, k int64, v V) bool {
 	if node != nil {
 		return false
 	}
-	succ := tl2.Read(tx, prev)
-	n := &listNode[V]{
-		key:  k,
-		val:  tl2.NewVar(v),
-		next: tl2.NewVar(succ),
-	}
-	tl2.Write(tx, prev, n)
+	n := &listNode[V]{key: k}
+	n.next.Reset(tl2.ReadPtr(tx, prev))
+	n.val.Reset(v)
+	tl2.WritePtr(tx, prev, n)
 	tl2.Write(tx, l.size, tl2.Read(tx, l.size)+1)
 	return true
 }
@@ -76,7 +73,7 @@ func (l *List[V]) Get(tx *tl2.Tx, k int64) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	return tl2.Read(tx, node.val), true
+	return tl2.Read(tx, &node.val), true
 }
 
 // Set updates the value of an existing key, reporting whether it existed.
@@ -85,7 +82,7 @@ func (l *List[V]) Set(tx *tl2.Tx, k int64, v V) bool {
 	if node == nil {
 		return false
 	}
-	tl2.Write(tx, node.val, v)
+	tl2.Write(tx, &node.val, v)
 	return true
 }
 
@@ -95,7 +92,7 @@ func (l *List[V]) Remove(tx *tl2.Tx, k int64) bool {
 	if node == nil {
 		return false
 	}
-	tl2.Write(tx, prev, tl2.Read(tx, node.next))
+	tl2.WritePtr(tx, prev, tl2.ReadPtr(tx, &node.next))
 	tl2.Write(tx, l.size, tl2.Read(tx, l.size)-1)
 	return true
 }
@@ -113,11 +110,11 @@ func (l *List[V]) Len(tx *tl2.Tx) int { return tl2.Read(tx, l.size) }
 // returns false. The iteration itself is transactional (every traversed
 // node joins the read set).
 func (l *List[V]) Range(tx *tl2.Tx, fn func(k int64, v V) bool) {
-	cur := tl2.Read(tx, l.head)
+	cur := tl2.ReadPtr(tx, &l.head)
 	for cur != nil {
-		if !fn(cur.key, tl2.Read(tx, cur.val)) {
+		if !fn(cur.key, tl2.Read(tx, &cur.val)) {
 			return
 		}
-		cur = tl2.Read(tx, cur.next)
+		cur = tl2.ReadPtr(tx, &cur.next)
 	}
 }

@@ -7,49 +7,45 @@ import "gstm/internal/tl2"
 // enqueuers conflict on the tail, dequeuers on the head — the same
 // contention points as the original.
 type Queue[V any] struct {
-	head *tl2.Var[*qnode[V]]
-	tail *tl2.Var[*qnode[V]]
+	head tl2.Ptr[qnode[V]]
+	tail tl2.Ptr[qnode[V]]
 	size *tl2.Var[int]
 }
 
 type qnode[V any] struct {
 	val  V
-	next *tl2.Var[*qnode[V]]
+	next tl2.Ptr[qnode[V]] // zero value: nil, ready before the node is linked
 }
 
 // NewQueue returns an empty queue.
 func NewQueue[V any]() *Queue[V] {
-	return &Queue[V]{
-		head: tl2.NewVar[*qnode[V]](nil),
-		tail: tl2.NewVar[*qnode[V]](nil),
-		size: tl2.NewVar(0),
-	}
+	return &Queue[V]{size: tl2.NewVar(0)}
 }
 
 // Enqueue appends v.
 func (q *Queue[V]) Enqueue(tx *tl2.Tx, v V) {
-	n := &qnode[V]{val: v, next: tl2.NewVar[*qnode[V]](nil)}
-	t := tl2.Read(tx, q.tail)
+	n := &qnode[V]{val: v}
+	t := tl2.ReadPtr(tx, &q.tail)
 	if t == nil {
-		tl2.Write(tx, q.head, n)
+		tl2.WritePtr(tx, &q.head, n)
 	} else {
-		tl2.Write(tx, t.next, n)
+		tl2.WritePtr(tx, &t.next, n)
 	}
-	tl2.Write(tx, q.tail, n)
+	tl2.WritePtr(tx, &q.tail, n)
 	tl2.Write(tx, q.size, tl2.Read(tx, q.size)+1)
 }
 
 // Dequeue removes and returns the oldest element; ok is false when empty.
 func (q *Queue[V]) Dequeue(tx *tl2.Tx) (v V, ok bool) {
-	h := tl2.Read(tx, q.head)
+	h := tl2.ReadPtr(tx, &q.head)
 	if h == nil {
 		var zero V
 		return zero, false
 	}
-	next := tl2.Read(tx, h.next)
-	tl2.Write(tx, q.head, next)
+	next := tl2.ReadPtr(tx, &h.next)
+	tl2.WritePtr(tx, &q.head, next)
 	if next == nil {
-		tl2.Write(tx, q.tail, nil)
+		tl2.WritePtr(tx, &q.tail, nil)
 	}
 	tl2.Write(tx, q.size, tl2.Read(tx, q.size)-1)
 	return h.val, true
@@ -70,7 +66,7 @@ func (q *Queue[V]) DequeueWait(tx *tl2.Tx) V {
 
 // Peek returns the oldest element without removing it.
 func (q *Queue[V]) Peek(tx *tl2.Tx) (v V, ok bool) {
-	h := tl2.Read(tx, q.head)
+	h := tl2.ReadPtr(tx, &q.head)
 	if h == nil {
 		var zero V
 		return zero, false

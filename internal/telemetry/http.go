@@ -109,9 +109,16 @@ func (s *Server) Close() error { return s.srv.Close() }
 // writing — or for ctx to expire, whichever comes first, in which case the
 // remaining connections are dropped and ctx.Err() is returned. Drained
 // this way, the port is safe to rebind immediately; tests and the
-// gstm-server drain sequence rely on that.
+// gstm-server drain sequence rely on that. A ctx already expired when the
+// listener has closed always yields ctx.Err(), even with nothing in
+// flight: the select below would otherwise pick between two ready cases
+// at random.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.srv.Shutdown(ctx)
+	if cerr := ctx.Err(); cerr != nil {
+		_ = s.srv.Close()
+		return cerr
+	}
 	done := make(chan struct{})
 	go func() { s.inflight.Wait(); close(done) }()
 	select {

@@ -163,7 +163,8 @@ func (tx *Tx) readBase(b *base) unsafe.Pointer {
 	tx.maybeYield()
 	// Read-after-write fast path: the filter answers the common miss in
 	// O(1) (read-only transactions keep it at zero, so this is one branch),
-	// and a hit returns the private redo box without allocating.
+	// and a hit returns the private redo box (a Ptr's written pointer)
+	// without allocating.
 	if e, fp := tx.ws.Lookup(baseAddr(b)); e != nil {
 		return e.Val
 	} else if fp {
@@ -245,28 +246,53 @@ func box[T any](val T) *T {
 // interface conversion; only the first write to a location allocates the
 // box that commit will publish.
 func Write[T any](tx *Tx, v *Var[T], val T) {
+	if e, fresh := tx.writeEntry(&v.b); fresh {
+		e.Val = unsafe.Pointer(box(val))
+	} else {
+		// The entry keyed by v.b was inserted by a Write through the same
+		// Var[T] (the base is embedded in it), so the redo box is a *T.
+		*(*T)(e.Val) = val
+	}
+}
+
+// ReadPtr returns the pointer held by c inside the transaction, observing
+// the transaction's own buffered writes first. The slot is the pointer, so
+// the read protocol's result is returned as is: no box to dereference.
+func ReadPtr[T any](tx *Tx, c *Ptr[T]) *T {
+	return (*T)(tx.readBase(&c.b))
+}
+
+// WritePtr buffers p as the transaction's pending write to c, with the
+// visibility and eager-locking rules of Write. The pointer itself is the
+// redo value: a first write allocates nothing, and a rewrite replaces the
+// entry's value instead of writing through a box.
+func WritePtr[T any](tx *Tx, c *Ptr[T], p *T) {
+	e, _ := tx.writeEntry(&c.b)
+	e.Val = unsafe.Pointer(p)
+}
+
+// writeEntry returns b's write-set entry. On the first write to b in this
+// attempt it inserts the entry, reports fresh (the caller must fill Val)
+// and, under eager detection, acquires b's lock.
+func (tx *Tx) writeEntry(b *base) (e *wset.Entry[*base], fresh bool) {
 	if tx.readOnly {
 		panic(errWriteInReadOnly{})
 	}
 	tx.maybeYield()
-	b := &v.b
 	addr := baseAddr(b)
 	if e, fp := tx.ws.Lookup(addr); e != nil {
-		// The entry keyed by b was inserted by a Write through the same
-		// Var[T] (the base is embedded in it), so the redo box is a *T.
-		*(*T)(e.Val) = val
-		return
+		return e, false
 	} else if fp {
 		tx.rt.tel.FilterFalsePositives.Inc(uint64(tx.self.Thread))
 	}
 	e, spilled := tx.ws.Insert(b, addr)
-	e.Val = unsafe.Pointer(box(val))
 	if spilled {
 		tx.rt.tel.WriteSetSpills.Inc(uint64(tx.self.Thread))
 	}
 	if tx.rt.cfg.EagerWriteLock {
 		tx.lockEager(e, b)
 	}
+	return e, true
 }
 
 // lockEager acquires b's versioned lock at encounter time with bounded

@@ -34,7 +34,8 @@ type lockSlot struct {
 // closure) pair: the generic Var[T] constructor stores a *T here as an
 // unsafe.Pointer, reads load it and dereference through the statically
 // known T, and commit publishes a buffered write by storing the redo
-// pointer — one word moved, zero interface conversions, zero closures.
+// pointer — one word moved, zero interface conversions, zero closures. A
+// Ptr[T] keeps its *T value itself in slot, with no box in between.
 type base struct {
 	lk   lockSlot
 	slot unsafe.Pointer // the current *T snapshot, loaded/stored atomically
@@ -54,6 +55,13 @@ func (b *base) loadPtr() unsafe.Pointer { return atomic.LoadPointer(&b.slot) }
 // storePtr atomically publishes p as the new value snapshot.
 func (b *base) storePtr(p unsafe.Pointer) { atomic.StorePointer(&b.slot, p) }
 
+// reset publishes p and clears the lock word, non-transactionally.
+func (b *base) reset(p unsafe.Pointer) {
+	b.storePtr(p)
+	b.lk.word.Store(0)
+	b.lk.owner.Store(0)
+}
+
 // Var is a transactional memory location holding a value of type T.
 // All access inside a transaction must go through Read/Write; the initial
 // value is set at construction and may be reset outside any transaction
@@ -63,6 +71,10 @@ func (b *base) storePtr(p unsafe.Pointer) { atomic.StorePointer(&b.slot, p) }
 // buffers a fresh pointer, and commit swings the slot pointer. Mutating
 // the interior of a value previously read from a Var without writing a copy
 // back is a logic error, exactly as in any write-back STM.
+//
+// The zero Var holds no value: a Var embedded by value in a larger
+// structure must be initialised with Reset before a transaction can reach
+// it.
 type Var[T any] struct {
 	b base
 }
@@ -80,11 +92,7 @@ func NewVar[T any](val T) *Var[T] {
 // striped runtime Reset does not touch the shared stripe table — stripe
 // versions stay monotone across resets, which is exactly what readers
 // validating `version > rv` require.
-func (v *Var[T]) Reset(val T) {
-	v.b.storePtr(unsafe.Pointer(&val))
-	v.b.lk.word.Store(0)
-	v.b.lk.owner.Store(0)
-}
+func (v *Var[T]) Reset(val T) { v.b.reset(unsafe.Pointer(&val)) }
 
 // Peek loads the current value non-transactionally. Like Reset it is only
 // safe when no transactions are running; it exists for result verification
@@ -101,6 +109,28 @@ func (v *Var[T]) LockState() (version uint64, locked bool) {
 	w := v.b.lk.word.Load()
 	return wordVersion(w), wordLocked(w)
 }
+
+// Ptr is a transactional pointer cell: a location whose value is a *T,
+// stored unboxed. Where a Var[*T] publishes a box holding the pointer (so a
+// read loads the slot, then the box, then the target), a Ptr's slot is the
+// pointer itself, and following a link costs one dependent load. Lock word,
+// striping, eager locking and waiter wake-ups all key on the embedded base
+// exactly as for Var, so a Ptr conflicts at the same granularity.
+//
+// The zero Ptr is a valid cell holding nil, so Ptr fields are embedded by
+// value in transactional nodes; a cell that should start non-nil is set
+// with Reset before its node is published.
+type Ptr[T any] struct {
+	b base
+}
+
+// Reset stores p non-transactionally, under the same rules as Var.Reset:
+// single-threaded setup or teardown, or a cell inside a node no other
+// thread can reach yet.
+func (c *Ptr[T]) Reset(p *T) { c.b.reset(unsafe.Pointer(p)) }
+
+// Peek loads the current pointer non-transactionally (verification only).
+func (c *Ptr[T]) Peek() *T { return (*T)(c.b.loadPtr()) }
 
 // Array is a fixed-length sequence of transactional locations of type T,
 // the analogue of a striped TL2 array: in per-location mode every element

@@ -52,9 +52,10 @@ type Entry[K comparable] struct {
 	// Val is the engine's redo box as a raw pointer (a *T the generic
 	// entry points publish without an interface conversion). The box is
 	// private to the transaction until commit publishes it, so engines
-	// update it in place on rewrites instead of boxing again. Typed as
-	// unsafe.Pointer (not any) so the hot path moves one word with no
-	// interface header and no type assertion.
+	// update it in place on rewrites instead of boxing again; for tl2's
+	// pointer cells Val is the written pointer itself, replaced on
+	// rewrite. Typed as unsafe.Pointer (not any) so the hot path moves one
+	// word with no interface header and no type assertion.
 	Val unsafe.Pointer
 	// Pre is the location's pre-lock word, valid while Locked (tl2's abort
 	// path restores it; libtm leaves it zero).
